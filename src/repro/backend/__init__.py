@@ -1,25 +1,5 @@
-"""Packed-word backends behind one seam (see :mod:`repro.backend.core`)."""
+"""Engine names and validation (see :mod:`repro.backend.core`)."""
 
-from repro.backend.core import (
-    AUTO_NUMPY_MIN_CYCLES,
-    BACKEND_NAMES,
-    Backend,
-    BackendUnavailable,
-    BignumBackend,
-    ENGINES,
-    auto_select,
-    available_backends,
-    default_engine,
-    get_backend,
-    numpy_available,
-    numpy_or_none,
-    resolve_engine,
-)
+from repro.backend.core import ENGINES, numpy_available, resolve_engine
 
-__all__ = [
-    "AUTO_NUMPY_MIN_CYCLES", "BACKEND_NAMES", "Backend",
-    "BackendUnavailable", "BignumBackend", "ENGINES",
-    "auto_select", "available_backends", "default_engine",
-    "get_backend", "numpy_available", "numpy_or_none",
-    "resolve_engine",
-]
+__all__ = ["ENGINES", "numpy_available", "resolve_engine"]

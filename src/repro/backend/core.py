@@ -1,369 +1,49 @@
-"""The backend seam: packed-word kernels behind one small interface.
+"""Engine names and their validation.
 
-All three fast engines — :mod:`repro.logic.fastsim` (zero-delay
-batches), :mod:`repro.logic.fasttimer` (per-(net, tick) waveform
-replay) and :mod:`repro.rtl.faststreams` (bit-plane word-stream
-statistics) — share the same data model: a *word* holds one bit per
-simulated cycle (or vector, or stream position) and the kernels are
-bitwise operations plus popcounts over whole words.  This module
-defines the handful of primitives those kernels need and ships the
-reference implementation on arbitrary-precision Python integers
-(:class:`BignumBackend`); :mod:`repro.backend.lanes` implements the
-same contract on numpy ``uint64`` lane arrays, sharding ``N`` cycles
-across ``ceil(N / 64)`` lanes — the software analogue of mapping
-concurrent-cycle evaluation onto wide parallel hardware lanes
-(power emulation, arXiv 0710.4742).
+Every simulation and statistics entry point in the framework takes
+``engine="fast" | "reference"`` (``None`` for the default):
 
-Word contract
--------------
+- ``"fast"`` — the packed-word engines, one arbitrary-precision Python
+  integer per net (or bit lane) holding the whole batch, so each gate
+  or statistic is a single C-level big-int operation:
+  :mod:`repro.logic.fastsim` (zero-delay batches),
+  :mod:`repro.logic.fasttimer` (per-(net, tick) waveform replay) and
+  :mod:`repro.rtl.faststreams` (bit-plane word-stream statistics);
+- ``"reference"`` — the scalar engines, one vector (or word) at a
+  time, kept as the bit-identity oracle for the fast ones.
 
-A backend word represents ``n`` bits, bit ``t`` holding cycle ``t``.
-Bignum words are plain ints; numpy words are little-endian ``uint64``
-arrays of ``ceil(n / 64)`` lanes (bit ``t`` lives at bit ``t % 64`` of
-lane ``t // 64``) whose unused high bits are always zero.  Python's
-bitwise operators (``& | ^``) combine words of either backend
-elementwise, and the integer ``0`` is a valid all-zeros word for both
-(numpy broadcasting keeps the compiled gate kernels backend-agnostic).
-Everything shape- or carry-dependent goes through the interface:
-masks, time shifts, bit extraction, popcounts, packing.
-
-Engine dispatch
----------------
-
-Public simulation entry points accept
-``engine="fast" | "numpy" | "reference" | "auto"``; ``"fast"`` is the
-compiled bignum path, ``"numpy"`` the lane-array path, ``"reference"``
-the scalar engine, and ``"auto"`` picks per workload shape
-(:func:`auto_select`).  Fallback is a chain, not an error: a numpy
-request degrades to the bignum path when numpy is unavailable (or the
-plan cannot be lowered), which degrades to the reference engine.
-Setting ``REPRO_NO_NUMPY=1`` makes every seam module behave as if
-numpy were not installed — CI runs the suite once that way to keep
-the whole chain green.
+A circuit the fast compiler cannot lower falls back to the reference
+engine; an unknown engine name is an error, never a silent fallback.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional
+from typing import Optional
 
-from repro.util.bits import popcount as _popcount
-
-__all__ = [
-    "Backend", "BignumBackend", "BackendUnavailable",
-    "ENGINES", "BACKEND_NAMES",
-    "numpy_or_none", "numpy_available",
-    "get_backend", "available_backends",
-    "auto_select", "resolve_engine", "default_engine",
-    "AUTO_NUMPY_MIN_CYCLES", "AUTO_NUMPY_MIN_SEQ_CYCLES",
-]
+__all__ = ["ENGINES", "numpy_available", "resolve_engine"]
 
 #: Engine names accepted by dispatching entry points.
-ENGINES = ("fast", "numpy", "reference", "auto")
-
-#: Concrete packed-kernel backends (the reference engine is scalar
-#: and has no packed backend).
-BACKEND_NAMES = ("bignum", "numpy")
-
-
-class BackendUnavailable(RuntimeError):
-    """The requested backend cannot run here (numpy missing/stubbed)."""
-
-
-def numpy_or_none():
-    """The numpy module, or None when absent or stubbed out.
-
-    ``REPRO_NO_NUMPY=1`` (any non-empty value) simulates a missing
-    numpy for every module that consumes it through this helper — the
-    single switch behind the CI fallback-chain leg.
-    """
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy as np
-    except ImportError:              # pragma: no cover - baked in
-        return None
-    return np
+ENGINES = ("fast", "reference")
 
 
 def numpy_available() -> bool:
-    """True when the numpy lane backend can run."""
-    return numpy_or_none() is not None
+    """True when numpy imports (a required dependency; run records
+    report it alongside the engine)."""
+    try:
+        import numpy  # noqa: F401
+    except ImportError:              # pragma: no cover - required
+        return False
+    return True
 
 
-class Backend:
-    """Packed-word primitive set shared by the compiled engines.
+def resolve_engine(engine: Optional[str], default: str = "fast") -> str:
+    """Validate an engine name; ``None`` takes ``default``.
 
-    Subclasses provide a concrete word representation.  ``n`` always
-    means the word's logical bit length; implementations may assume
-    ``0 <= n`` and that word arguments were produced by this backend
-    (or are the integer ``0``).
-    """
-
-    name = "abstract"
-
-    # -- construction ------------------------------------------------
-    def zeros(self, n: int):
-        """The all-zeros n-bit word."""
-        raise NotImplementedError
-
-    def ones_mask(self, n: int):
-        """The word with all ``n`` low bits set."""
-        raise NotImplementedError
-
-    def low_mask(self, c: int, n: int):
-        """An n-bit-shaped word with only the ``c`` lowest bits set.
-
-        Equals ``ones_mask(c)`` for the bignum backend; lane backends
-        keep the lane count of an ``n``-bit word so the result stays
-        shape-compatible with its peers.
-        """
-        raise NotImplementedError
-
-    def from_int(self, word: int, n: int):
-        """Pack a non-negative ``n``-bit Python int into a word."""
-        raise NotImplementedError
-
-    def to_int(self, w) -> int:
-        """Unpack a word back into a Python int."""
-        raise NotImplementedError
-
-    # -- queries -----------------------------------------------------
-    def popcount(self, w) -> int:
-        """Number of set bits."""
-        raise NotImplementedError
-
-    def nonzero(self, w) -> bool:
-        """True when any bit is set."""
-        raise NotImplementedError
-
-    def equal(self, a, b) -> bool:
-        """Exact bit equality of two words."""
-        raise NotImplementedError
-
-    def get_bit(self, w, t: int) -> int:
-        """Bit ``t`` as a Python 0/1 int."""
-        raise NotImplementedError
-
-    # -- time shifts & slicing --------------------------------------
-    def shift_in_time(self, w, n: int, carry: int = 0):
-        """``((w << 1) | carry)`` truncated to ``n`` bits.
-
-        Moves every cycle one step later and shifts ``carry`` (the
-        previous cycle's bit) into cycle 0 — the transition-alignment
-        primitive of every toggle count and latch fixed point.
-        """
-        raise NotImplementedError
-
-    def shift_out_time(self, w):
-        """``w >> 1``: drop cycle 0, align each cycle with its successor."""
-        raise NotImplementedError
-
-    def toggle_count(self, w, n: int, carry: int = 0) -> int:
-        """``popcount(w ^ shift_in_time(w, n, carry))``, fused.
-
-        The per-net inner loop of activity collection; backends fuse
-        the shift, xor and popcount to avoid materializing
-        intermediates.  ``w`` must be masked to ``n`` bits.
-        """
-        d = self.shift_in_time(w, n, carry)
-        d = d ^ w
-        return self.popcount(d)
-
-    def batch_stats(self, words, n: int, carries=None):
-        """Per-word ``(ones, toggles, last_bit)`` lists, in one sweep.
-
-        The activity-collection inner loop over all net slots of one
-        chunk: for each ``n``-bit word, its popcount, its toggle count
-        with ``carries[i]`` shifted in (``carries=None`` seeds each
-        word's own bit 0 — the no-predecessor first chunk), and bit
-        ``n - 1`` (the carry into the next chunk).  Lane backends
-        override this with a single stacked 2-D pass.
-        """
-        ones = []
-        toggles = []
-        last = []
-        for i, w in enumerate(words):
-            ones.append(self.popcount(w))
-            carry = self.get_bit(w, 0) if carries is None else carries[i]
-            toggles.append(self.toggle_count(w, n, carry))
-            last.append(self.get_bit(w, n - 1))
-        return ones, toggles, last
-
-    def extract(self, w, lo: int, c: int):
-        """``(w >> lo) & ones_mask(c)`` as a canonical c-bit word."""
-        raise NotImplementedError
-
-    def blit(self, dst, src, base: int):
-        """OR the pre-masked chunk ``src`` into ``dst`` at bit ``base``.
-
-        ``base`` must be lane-aligned for lane backends (the chunk
-        iterators guarantee 64-bit-aligned chunk starts).  Returns the
-        updated destination word (bignum words are immutable; lane
-        words are updated in place and returned).
-        """
-        raise NotImplementedError
-
-
-class BignumBackend(Backend):
-    """Arbitrary-precision integer words — the existing fast path.
-
-    One Python int per net carries the whole batch; every primitive
-    is a single C-level big-int operation.
-    """
-
-    name = "bignum"
-
-    def zeros(self, n: int) -> int:
-        return 0
-
-    def ones_mask(self, n: int) -> int:
-        return (1 << n) - 1
-
-    def low_mask(self, c: int, n: int) -> int:
-        return (1 << c) - 1
-
-    def from_int(self, word: int, n: int) -> int:
-        return word
-
-    def to_int(self, w: int) -> int:
-        return w
-
-    def popcount(self, w: int) -> int:
-        return _popcount(w)
-
-    def nonzero(self, w: int) -> bool:
-        return bool(w)
-
-    def equal(self, a: int, b: int) -> bool:
-        return a == b
-
-    def get_bit(self, w: int, t: int) -> int:
-        return (w >> t) & 1
-
-    def shift_in_time(self, w: int, n: int, carry: int = 0) -> int:
-        return (((w << 1) | carry) & ((1 << n) - 1))
-
-    def shift_out_time(self, w: int) -> int:
-        return w >> 1
-
-    def toggle_count(self, w: int, n: int, carry: int = 0) -> int:
-        return _popcount((w ^ ((w << 1) | carry)) & ((1 << n) - 1))
-
-    def extract(self, w: int, lo: int, c: int) -> int:
-        return (w >> lo) & ((1 << c) - 1)
-
-    def blit(self, dst: int, src: int, base: int) -> int:
-        return dst | (src << base)
-
-
-_BIGNUM = BignumBackend()
-_NUMPY_CACHE: Optional[Backend] = None
-
-
-def get_backend(name) -> Backend:
-    """Resolve a backend by name (or pass a :class:`Backend` through).
-
-    ``"bignum"`` (alias ``"fast"``) always works; ``"numpy"`` raises
-    :class:`BackendUnavailable` when numpy is missing or stubbed out,
-    so dispatchers can fall down the chain.
-    """
-    if isinstance(name, Backend):
-        return name
-    if name in ("bignum", "fast"):
-        return _BIGNUM
-    if name == "numpy":
-        global _NUMPY_CACHE
-        if numpy_or_none() is None:
-            raise BackendUnavailable(
-                "numpy backend requested but numpy is unavailable "
-                "(not installed, or REPRO_NO_NUMPY is set)")
-        if _NUMPY_CACHE is None:
-            from repro.backend.lanes import NumpyLaneBackend
-            _NUMPY_CACHE = NumpyLaneBackend()
-        return _NUMPY_CACHE
-    raise ValueError(f"unknown backend {name!r}; "
-                     f"expected one of {BACKEND_NAMES}")
-
-
-def available_backends() -> List[str]:
-    """Backends that can run in this process, preferred first."""
-    names = ["bignum"]
-    if numpy_available():
-        names.append("numpy")
-    return names
-
-
-#: Batches shorter than this stay on the bignum path under
-#: ``engine="auto"``: per-operation numpy overhead (array allocation,
-#: ufunc dispatch) beats the win from wider lanes until words are a
-#: few thousand bits long.  Calibrated against
-#: ``benchmarks/bench_perf_backends.py`` (narrow-long vs wide-short).
-AUTO_NUMPY_MIN_CYCLES = 4096
-
-
-#: Sequential batches shorter than this stay on bignums even under
-#: ``auto``: chunked fixed-point iteration amortizes lane overhead
-#: more slowly than a single combinational pass.
-AUTO_NUMPY_MIN_SEQ_CYCLES = 65536
-
-
-def auto_select(cycles: Optional[int] = None,
-                lanes: Optional[int] = None,
-                sequential: bool = False) -> str:
-    """Pick the winning backend for a workload shape.
-
-    ``cycles`` is the batch length (word bit length), ``lanes`` the
-    number of packed words in flight (nets, or stream width), and
-    ``sequential`` marks chunked latch fixed-point workloads, which
-    need longer batches before lanes pay off.  Narrow-long workloads
-    go to the numpy lane backend; wide-short ones stay on bignums,
-    whose small-word constant factors win.  The choice lands in
-    telemetry as a ``backend.auto.*`` counter.
-    """
-    from repro import obs
-
-    floor = AUTO_NUMPY_MIN_SEQ_CYCLES if sequential \
-        else AUTO_NUMPY_MIN_CYCLES
-    if cycles is None or cycles < floor or not numpy_available():
-        choice = "fast"
-    else:
-        choice = "numpy"
-    if obs.enabled():
-        obs.inc(f"backend.auto.{choice}")
-        obs.inc("backend.auto.decisions")
-    return choice
-
-
-def resolve_engine(engine: Optional[str], default: str = "fast",
-                   cycles: Optional[int] = None,
-                   lanes: Optional[int] = None,
-                   sequential: bool = False) -> str:
-    """Validate an engine name and resolve it to a concrete engine.
-
-    ``None`` takes ``default``; ``"auto"`` consults
-    :func:`auto_select`; ``"numpy"`` silently degrades to ``"fast"``
-    when the lane backend cannot run (the documented fallback chain).
-    Unknown names raise ``ValueError``.
+    Unknown names — including the retired ``"numpy"`` and ``"auto"``
+    — raise ``ValueError``.
     """
     e = engine or default
     if e not in ENGINES:
-        raise ValueError(f"unknown engine {e!r}; expected 'fast', "
-                         "'numpy', 'reference' or 'auto'")
-    if e == "auto":
-        e = auto_select(cycles=cycles, lanes=lanes, sequential=sequential)
-    if e == "numpy" and not numpy_available():
-        e = "fast"
+        raise ValueError(f"unknown engine {e!r}; expected 'fast' or "
+                         "'reference'")
     return e
-
-
-def default_engine(env: str = "REPRO_ENGINE") -> str:
-    """Process-wide default engine, overridable via ``REPRO_ENGINE``.
-
-    The bench orchestrator's ``--backend`` flag exports this variable
-    to its workers so a whole sweep can run on a chosen backend (or
-    on ``auto``).  Invalid values fall back to ``"fast"`` rather than
-    poisoning every default-engine call site.
-    """
-    value = os.environ.get(env)
-    return value if value in ENGINES else "fast"

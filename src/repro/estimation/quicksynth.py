@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.backend.core import default_engine, resolve_engine
+from repro.backend.core import resolve_engine
 from repro.cdfg.graph import Cdfg
 from repro.cdfg.library import ModuleLibrary
 from repro.cdfg.schedule import Schedule, list_schedule
@@ -47,12 +47,8 @@ def dynamic_profile(cdfg: Cdfg, input_streams: Dict[str, Sequence[int]],
         values = traces[node.uid]
         if len(values) < 2:
             continue
-        resolved = resolve_engine(engine, default_engine(),
-                                  cycles=len(values))
-        if resolved != "reference":
-            toggles = faststreams.transition_count(
-                values, cdfg.width,
-                backend="numpy" if resolved == "numpy" else None)
+        if resolve_engine(engine) == "fast":
+            toggles = faststreams.transition_count(values, cdfg.width)
         else:
             toggles = sum(hamming(a, b)
                           for a, b in zip(values, values[1:]))

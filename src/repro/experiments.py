@@ -64,8 +64,6 @@ EXPERIMENTS: List[Experiment] = [
                "bench_perf_eventsim.py", kind="perf"),
     Experiment("P4", "bit-plane word-stream engine vs scalar statistics",
                "bench_perf_streams.py", kind="perf"),
-    Experiment("P5", "numpy uint64 lane backend vs native bignum engine",
-               "bench_perf_backends.py", kind="perf"),
     Experiment("P6", "plan-store warm starts + estimation service loadgen",
                "bench_perf_serve.py", kind="perf"),
     Experiment("P7", "learned macromodels vs the fixed ladder (Pareto)",

@@ -17,8 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.backend.core import default_engine, numpy_or_none, \
-    resolve_engine
+import numpy as np
+
+from repro.backend.core import resolve_engine
 from repro.fsm.markov import transition_probabilities
 from repro.fsm.stg import STG
 from repro.rtl import faststreams
@@ -91,18 +92,15 @@ def encoding_switching_cost(stg: STG, encoding: Encoding,
 
     This is the canonical cost  sum_ij p_ij H(E(i), E(j))  that all the
     cited encoding papers minimize (and that the Tyagi bound lower
-    bounds).  The packed engines evaluate it as one vectorized
-    popcount over the pair set (agreeing with the scalar reference to
-    float round-off); codes wider than
+    bounds).  The fast engine evaluates it as one vectorized popcount
+    over the pair set (agreeing with the scalar reference to float
+    round-off); codes wider than
     :data:`repro.util.bits.MAX_UINT64_CODE_BITS` (e.g. one-hot beyond
-    64 states) fall back to the reference, as does a missing numpy —
-    :func:`repro.rtl.faststreams.weighted_hamming` degrades to the
-    same scalar loop.
+    64 states) fall back to the reference.
     """
     if probs is None:
         probs = transition_probabilities(stg, bit_probs)
-    engine = resolve_engine(engine, default_engine())
-    if engine != "reference" \
+    if resolve_engine(engine) == "fast" \
             and encoding.n_bits <= MAX_UINT64_CODE_BITS:
         pairs = [(a, b) for (a, b) in probs if a != b]
         if not pairs:
@@ -128,10 +126,6 @@ class _WeightVectors:
 
     def __init__(self, states: Sequence[str],
                  weight: Dict[Tuple[str, str], float]) -> None:
-        np = numpy_or_none()
-        if np is None:                 # callers gate on availability
-            raise RuntimeError("_WeightVectors requires numpy")
-        self.np = np
         self.index = {s: i for i, s in enumerate(states)}
         neighbours: List[List[Tuple[int, float]]] = \
             [[] for _ in states]
@@ -150,7 +144,6 @@ class _WeightVectors:
         self.pair_p = np.array(list(weight.values()), dtype=np.float64)
 
     def total_cost(self, codes_arr) -> float:
-        np = self.np
         diff = codes_arr[self.pair_ia] ^ codes_arr[self.pair_ib]
         return float(np.dot(self.pair_p,
                             faststreams.popcount_array(diff)))
@@ -158,7 +151,6 @@ class _WeightVectors:
     def move_delta(self, codes_arr, si: int,
                    new_code: int) -> float:
         """Cost change of moving state ``si`` to ``new_code``."""
-        np = self.np
         idx = self.nb_idx[si]
         if not len(idx):
             return 0.0
@@ -170,7 +162,6 @@ class _WeightVectors:
     def swap_delta(self, codes_arr, sa: int,
                    sb: int) -> float:
         """Cost change of exchanging the codes of two states."""
-        np = self.np
         ca, cb = codes_arr[sa], codes_arr[sb]
         delta = 0.0
         for si, mine, theirs, other_state in ((sa, ca, cb, sb),
@@ -218,9 +209,7 @@ def _anneal(states: Sequence[str],
     unchanged; shared by the single-run path and the parallel-restart
     fan-out.
     """
-    np = numpy_or_none()
-    fast = engine != "reference" and bits <= MAX_UINT64_CODE_BITS \
-        and np is not None
+    fast = engine != "reference" and bits <= MAX_UINT64_CODE_BITS
     vectors = _WeightVectors(states, weight) if fast else None
     codes = dict(codes)
 
@@ -311,16 +300,16 @@ def low_power_encoding(stg: STG,
     any worker count.
 
     Set ``use_annealing=False`` for the greedy-only ablation.  The
-    default packed engine evaluates candidate costs and swap deltas as
+    default fast engine evaluates candidate costs and swap deltas as
     vectorized popcounts over the per-state transition-probability
-    vectors; ``engine="reference"`` keeps the scalar dict walks (the
-    two may differ on exact cost ties, as both are heuristics over
-    float scores that agree to round-off).  The vectorized path also
-    steps aside — to the identical-math scalar walks, not an error —
-    when numpy is missing or the codes exceed
+    vectors; ``engine="reference"`` keeps the scalar dict walks.  The
+    greedy phase sums each candidate's cost in the same order on both
+    engines (neighbour by neighbour, in placement order), so the two
+    pick identical codes; annealing deltas agree to round-off.  The
+    vectorized path steps aside — to the identical-math scalar walks,
+    not an error — when the codes exceed
     :data:`repro.util.bits.MAX_UINT64_CODE_BITS`.
     """
-    np = numpy_or_none()
     bits = n_bits or min_bits(stg.n_states)
     if (1 << bits) < stg.n_states:
         raise ValueError("not enough code bits for the state count")
@@ -334,9 +323,8 @@ def low_power_encoding(stg: STG,
         key = (a, b) if a < b else (b, a)
         weight[key] = weight.get(key, 0.0) + p
 
-    engine = resolve_engine(engine, default_engine())
-    fast = engine != "reference" and bits <= MAX_UINT64_CODE_BITS \
-        and np is not None
+    engine = resolve_engine(engine)
+    fast = engine != "reference" and bits <= MAX_UINT64_CODE_BITS
 
     def w(a: str, b: str) -> float:
         return weight.get((a, b) if a < b else (b, a), 0.0)
@@ -355,21 +343,23 @@ def low_power_encoding(stg: STG,
         if not placed:
             code = min(free)
         elif fast:
+            # Column-by-column accumulation in placement order: the
+            # exact float sum of the reference loop below (a BLAS
+            # matrix-vector product would reorder it and flip ties).
             candidates = sorted(free)
             cand_arr = np.array(candidates, dtype=np.uint64)
-            placed_codes = np.array([c for _o, c in placed],
-                                    dtype=np.uint64)
-            weights = np.array([w(state, other) for other, _c in placed],
-                               dtype=np.float64)
-            costs = faststreams.popcount_array(
-                cand_arr[:, None] ^ placed_codes[None, :]) @ weights
+            costs = np.zeros(len(candidates))
+            for other, c in placed:
+                costs += w(state, other) * faststreams.popcount_array(
+                    cand_arr ^ np.uint64(c))
             code = candidates[int(np.argmin(costs))]
         else:
             def cost_of(candidate: int) -> float:
-                return sum(w(state, other)
-                           * _hamming(candidate, c)
-                           for other, c in placed)
-            code = min(free, key=cost_of)
+                total = 0.0
+                for other, c in placed:
+                    total += w(state, other) * _hamming(candidate, c)
+                return total
+            code = min(sorted(free), key=cost_of)
         codes[state] = code
         free.discard(code)
 

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend.core import resolve_engine
 from repro.fsm.stg import STG
 from repro.util.bits import popcount
 
@@ -58,7 +59,7 @@ def _minterm_fractions(stg: STG,
 
 def transition_matrix(stg: STG,
                       bit_probs: Optional[Sequence[float]] = None,
-                      engine: str = "fast"
+                      engine: Optional[str] = None
                       ) -> Tuple[np.ndarray, Dict[str, int]]:
     """Row-stochastic matrix P[i, j] = P(next = j | current = i).
 
@@ -78,7 +79,8 @@ def transition_matrix(stg: STG,
     if bit_probs is None:
         bit_probs = [0.5] * stg.n_inputs
 
-    if engine == "fast" and stg.n_inputs <= _MAX_MINTERM_BITS \
+    if resolve_engine(engine) == "fast" \
+            and stg.n_inputs <= _MAX_MINTERM_BITS \
             and stg.transitions:
         fracs = _minterm_fractions(stg, bit_probs)
         src = np.array([index[t.src] for t in stg.transitions])
@@ -193,18 +195,15 @@ def expected_state_line_switching(stg: STG, codes: Dict[str, int],
                                   engine: Optional[str] = None) -> float:
     """Expected state-register bit flips per cycle for an encoding.
 
-    The packed engines evaluate the pair set with one vectorized
-    popcount (:func:`repro.rtl.faststreams.weighted_hamming`, which
-    itself degrades to the scalar loop without numpy); codes wider
-    than :data:`repro.util.bits.MAX_UINT64_CODE_BITS` use the scalar
-    reference.
+    The fast engine evaluates the pair set with one vectorized
+    popcount (:func:`repro.rtl.faststreams.weighted_hamming`); codes
+    wider than :data:`repro.util.bits.MAX_UINT64_CODE_BITS` use the
+    scalar reference.
     """
-    from repro.backend.core import default_engine, resolve_engine
     from repro.util.bits import MAX_UINT64_CODE_BITS
 
     probs = transition_probabilities(stg, bit_probs)
-    engine = resolve_engine(engine, default_engine())
-    if engine != "reference" and probs and \
+    if resolve_engine(engine) == "fast" and probs and \
             max(codes.values(), default=0).bit_length() \
             <= MAX_UINT64_CODE_BITS:
         from repro.rtl import faststreams

@@ -40,19 +40,16 @@ Clock-tree accounting follows the zero-delay engine: the edge between
 cycles ``k`` and ``k+1`` is gated by the enable settled in cycle ``k``
 and edges are counted for ``k = 0 .. cycles-2``.
 
-Three engines back :meth:`EventSimulator.run`:
+Two engines back :meth:`EventSimulator.run`:
 
 - the *reference* engine in this module: one event at a time through
   per-gate dict traffic — simple and obviously correct,
 - the *fast* engine in :mod:`repro.logic.fasttimer`: a compiled
   tick-wheel evaluator that packs N cycles bit-parallel per
-  (net, tick) and counts with popcounts,
-- the *numpy* engine: the same tick-wheel schedule on ``uint64``
-  lane-array words (:mod:`repro.backend.lanes`).
+  (net, tick) and counts with popcounts.
 
-Reports are bit-identical across all three; the compiled engines fall
-down the chain (numpy to fast when numpy is unavailable, both to the
-reference when the circuit cannot be compiled).
+Reports are bit-identical across both; the fast engine falls back to
+the reference when the circuit cannot be compiled.
 """
 
 from __future__ import annotations
@@ -65,14 +62,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro import store as artifact_store
-from repro.backend.core import BackendUnavailable, ENGINES, \
-    default_engine, resolve_engine
+from repro.backend.core import resolve_engine
 from repro.logic.netlist import Circuit, Gate, Latch
 from repro.logic.simulate import ActivityReport, Vector
 
-#: Engine used when ``EventSimulator`` is built without ``engine=``
-#: ("fast", or the value of ``REPRO_ENGINE`` when set and valid).
-DEFAULT_TIMED_ENGINE = default_engine()
+#: Engine used when ``EventSimulator`` is built without ``engine=``.
+DEFAULT_TIMED_ENGINE = "fast"
 
 
 # ----------------------------------------------------------------------
@@ -162,22 +157,17 @@ class EventSimulator:
     """Cycle-based event-driven simulator for a circuit.
 
     ``engine`` selects the implementation backing :meth:`run`:
-    ``"fast"`` (compiled tick-wheel on bignum words; the default),
-    ``"numpy"`` (the same tick-wheel on lane arrays), ``"reference"``
-    (scalar, event at a time) or ``"auto"`` (picks per batch shape).
-    All produce bit-identical counters; the compiled engines fall back
-    down the chain automatically when numpy is unavailable or the
-    circuit cannot be compiled.  :meth:`step` always runs the scalar
-    reference (it is the single-cycle debugging API).
+    ``"fast"`` (compiled tick-wheel on bignum words; the default) or
+    ``"reference"`` (scalar, event at a time).  Both produce
+    bit-identical counters; the fast engine falls back to the
+    reference when the circuit cannot be compiled.  :meth:`step`
+    always runs the scalar reference (it is the single-cycle
+    debugging API).
     """
 
     def __init__(self, circuit: Circuit,
                  engine: Optional[str] = None) -> None:
-        self.engine = engine or DEFAULT_TIMED_ENGINE
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; "
-                             "expected 'fast', 'numpy', 'reference' "
-                             "or 'auto'")
+        self.engine = resolve_engine(engine, DEFAULT_TIMED_ENGINE)
         self.circuit = circuit
         self._fanout = circuit.fanout_map()
         self._caps = circuit.load_capacitances()
@@ -233,16 +223,11 @@ class EventSimulator:
                       engine=self.engine) as sp:
             events_before = self.events
             glitches_before = self.glitches
-            engine = resolve_engine(
-                self.engine, cycles=len(vectors),
-                sequential=bool(self.circuit.latches))
-            if engine != "reference":
+            if self.engine == "fast":
                 from repro.logic import fasttimer
                 try:
-                    self._run_fast(
-                        vectors,
-                        backend="numpy" if engine == "numpy" else None)
-                except (fasttimer.CompileError, BackendUnavailable):
+                    self._run_fast(vectors)
+                except fasttimer.CompileError:
                     self._run_reference(vectors)
             else:
                 self._run_reference(vectors)
@@ -274,16 +259,14 @@ class EventSimulator:
         for vec in vectors:
             self.step(vec)
 
-    def _run_fast(self, vectors: Stimulus,
-                  backend: Optional[str] = None) -> None:
+    def _run_fast(self, vectors: Stimulus) -> None:
         """Run a whole batch through the compiled tick-wheel engine."""
         from repro.logic import fasttimer
 
         counts = fasttimer.timed_batch(
             self.circuit, vectors,
             prev_values=self._values, state=self._state,
-            settling_first=not self._settled_once,
-            backend=backend)
+            settling_first=not self._settled_once)
         if counts.n == 0:
             return
         for net, t in counts.toggles.items():

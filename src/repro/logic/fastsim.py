@@ -44,8 +44,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
 
 from repro import obs
 from repro import store as artifact_store
-from repro.backend.core import Backend, BackendUnavailable, \
-    get_backend, resolve_engine
+from repro.backend.core import resolve_engine
 from repro.logic import gates as gatelib
 from repro.logic.gates import GateSpec
 from repro.logic.netlist import Circuit
@@ -429,52 +428,6 @@ def _pack_inputs(circuit: Circuit,
 _CHUNK = 64
 _CHUNK_MAX = 4096
 
-#: Initial sequential chunk for lane backends: tiny chunks drown
-#: numpy in per-op dispatch overhead, so the backend path starts at a
-#: size worth amortizing (the adaptive halving can still shrink back
-#: to ``_CHUNK`` for tight feedback loops).
-_CHUNK_LANES = 1024
-
-#: Settling passes a lane backend tolerates before declining the
-#: batch.  Fixed-point settling needs about one pass per cycle of the
-#: longest latch-to-latch feedback chain in the chunk, so circuits
-#: with tight feedback (counters, accumulators, FSM self-loops) cost
-#: O(cycles) passes *no matter the chunk size* — array dispatch
-#: overhead then makes every lane backend strictly slower than the
-#: bignum engine.  Past this many passes the backend raises
-#: :class:`~repro.backend.core.BackendUnavailable` and the dispatcher
-#: falls down the engine chain; feed-forward pipelines settle in
-#: their register depth and never get near it.
-_SETTLE_BAIL = 130
-
-
-def _pack_inputs_backend(circuit: Circuit, vectors: Stimulus,
-                         be: Backend) -> Tuple[List[object], int]:
-    """Input backend words aligned with ``circuit.inputs``.
-
-    Packing a million-cycle bignum into lane arrays costs real time,
-    and characterization loops replay the same stimulus against many
-    circuits — so converted words are cached on the
-    :class:`PackedVectors` object per backend.  The cache relies on
-    ``PackedVectors`` being effectively immutable (nothing in the
-    codebase mutates ``words`` after construction).
-    """
-    if be.name == "bignum":
-        return _pack_inputs(circuit, vectors)    # type: ignore[return-value]
-    if isinstance(vectors, PackedVectors):
-        cache = getattr(vectors, "_backend_words", None)
-        if cache is None:
-            cache = {}
-            vectors._backend_words = cache
-        entry = cache.get(be.name)
-        if entry is None:
-            entry = {name: be.from_int(w, vectors.n)
-                     for name, w in vectors.words.items()}
-            cache[be.name] = entry
-        return [entry[name] for name in circuit.inputs], vectors.n
-    in_ints, n = _pack_inputs(circuit, vectors)
-    return [be.from_int(w, n) for w in in_ints], n
-
 
 def _iter_chunks(plan: CompiledCircuit, in_words: List[int], n_cycles: int,
                  initial_state: Optional[Dict[str, int]]
@@ -538,87 +491,6 @@ def _iter_chunks(plan: CompiledCircuit, in_words: List[int], n_cycles: int,
             q = q2
         yield V, base, c, mask
         state = [(d >> (c - 1)) & 1 for d in nxt]
-        base += c
-        if iters <= max(2, chunk // 8):
-            chunk = min(chunk * 2, _CHUNK_MAX)
-        elif iters > chunk // 2:
-            chunk = max(_CHUNK, chunk // 2)
-
-
-def _iter_chunks_backend(plan: CompiledCircuit, in_words: List[object],
-                         n_cycles: int,
-                         initial_state: Optional[Dict[str, int]],
-                         be: Backend) -> Iterator[Tuple[List[object], int,
-                                                        int, object]]:
-    """Backend-generic :func:`_iter_chunks`.
-
-    Same contract, but slot values and the mask are *backend words*
-    (``in_words`` must already be backend words spanning all
-    ``n_cycles`` bits).  The exec-compiled plan body runs unchanged —
-    numpy lane arrays support the same ``& | ^`` operators the bignum
-    path uses — and everything carry- or shape-dependent (chunk
-    extraction, the latch shift-by-one, convergence equality) goes
-    through the backend primitives.  Chunk bases stay 64-bit-aligned
-    (chunk lengths are multiples of 64 except possibly the final
-    chunk), which is what lets lane backends slice without bit skew.
-    """
-    circuit = plan.circuit
-    latches = plan.latches
-    if initial_state is None:
-        state = [lp.init for lp in latches]
-    else:
-        state = [1 if initial_state[l.output] else 0
-                 for l in circuit.latches]
-
-    evaluate = plan.evaluate
-    chunk = n_cycles if not latches else \
-        (_CHUNK if be.name == "bignum" else _CHUNK_LANES)
-    base = 0
-    while base < n_cycles:
-        c = min(chunk, n_cycles - base)
-        mask = be.ones_mask(c)
-        V: List[object] = [0] * plan.n_slots
-        for s, w in zip(plan.input_slots, in_words):
-            V[s] = be.extract(w, base, c)
-
-        if not latches:
-            evaluate(V, mask)
-            yield V, base, c, mask
-            base += c
-            continue
-
-        q = [be.from_int(sb, c) for sb in state]
-        nxt: List[object] = q
-        iters = 0
-        while True:
-            for lp, qw in zip(latches, q):
-                V[lp.out_slot] = qw
-            evaluate(V, mask)
-            nxt = []
-            q2 = []
-            for lp, sb in zip(latches, state):
-                d = V[lp.data_slot] & mask
-                if lp.enable_slot >= 0:
-                    e = V[lp.enable_slot]
-                    d = (d & e) | (V[lp.out_slot] & (mask ^ e))
-                nxt.append(d)
-                q2.append(be.shift_in_time(d, c, sb))
-            iters += 1
-            if all(be.equal(a, b) for a, b in zip(q2, q)):
-                break
-            if iters > c + 2:     # cannot happen; guards the invariant
-                raise RuntimeError(
-                    "fastsim: latch fixed point failed to converge")
-            if iters > _SETTLE_BAIL and c > _SETTLE_BAIL \
-                    and be.name != "bignum":
-                if obs.enabled():
-                    obs.inc(f"fastsim.backend.{be.name}.settle_bail", 1)
-                raise BackendUnavailable(
-                    f"{be.name}: tight sequential feedback "
-                    f"({iters} settling passes on a {c}-cycle chunk)")
-            q = q2
-        yield V, base, c, mask
-        state = [be.get_bit(d, c - 1) for d in nxt]
         base += c
         if iters <= max(2, chunk // 8):
             chunk = min(chunk * 2, _CHUNK_MAX)
@@ -698,82 +570,6 @@ def collect_activity(circuit: Circuit, vectors: Stimulus,
     return report
 
 
-def collect_activity_backend(circuit: Circuit, vectors: Stimulus,
-                             initial_state: Optional[Dict[str, int]] = None,
-                             backend: str = "numpy") -> ActivityReport:
-    """Activity collection on an explicit packed-word backend.
-
-    Bit-identical to :func:`collect_activity` (and therefore to the
-    scalar reference) for every backend; the bignum backend retraces
-    the specialized path through the generic primitives, which is what
-    the cross-backend identity gates pin.  Raises
-    :class:`~repro.backend.core.BackendUnavailable` when the backend
-    cannot run — dispatchers catch it and fall down the engine chain.
-    """
-    be = get_backend(backend)
-    sp = obs.span("fastsim.collect_activity", circuit=circuit.name,
-                  backend=be.name)
-    with sp:
-        plan = compile_circuit(circuit)
-        in_words, n = _pack_inputs_backend(circuit, vectors, be)
-
-        n_slots = plan.n_slots
-        toggles = [0] * n_slots
-        ones = [0] * n_slots
-        prev = [0] * n_slots
-        enabled_latch_cycles = 0
-        clocked_plain = sum(1 for lp in plan.latches
-                            if lp.clocked and lp.enable_slot < 0)
-        clocked_enable_slots = [lp.enable_slot for lp in plan.latches
-                                if lp.clocked and lp.enable_slot >= 0]
-        first = True
-        n_chunks = 0
-        for V, base, c, mask in _iter_chunks_backend(plan, in_words, n,
-                                                     initial_state, be):
-            n_chunks += 1
-            # Every slot word leaving the chunk iterator is already
-            # masked to c bits (inputs are extracted masked, the mask
-            # M is masked, and the bitwise gate ops preserve it), so
-            # the stats read V directly.  Cycle 0 of the first chunk
-            # has no predecessor: carries=None seeds each word's own
-            # bit 0, zeroing that edge without a mask pass.
-            o, t, prev = be.batch_stats(V, c, None if first else prev)
-            for i in range(n_slots):
-                ones[i] += o[i]
-                toggles[i] += t[i]
-            if clocked_plain or clocked_enable_slots:
-                cmask = mask if base + c < n else be.shift_out_time(mask)
-                enabled_latch_cycles += clocked_plain * be.popcount(cmask)
-                for es in clocked_enable_slots:
-                    enabled_latch_cycles += be.popcount(V[es] & cmask)
-            first = False
-
-        switched = 0.0
-        for i in range(n_slots):
-            t = toggles[i]
-            if t:
-                switched += plan.caps[i] * t
-        clock_cap = 0.0
-        if circuit.latches and n > 1:
-            clock_cap = 2.0 * gatelib.DFF_CLOCK_CAP * enabled_latch_cycles
-        report = ActivityReport(
-            cycles=n,
-            toggles=dict(zip(plan.nets, toggles)),
-            ones=dict(zip(plan.nets, ones)),
-            switched_capacitance=switched,
-            clock_capacitance=clock_cap,
-        )
-        sp.add("vectors", n)
-        sp.add("chunks", n_chunks)
-        sp.set("gates", circuit.gate_count())
-    if obs.enabled():
-        obs.inc("fastsim.vectors", n)
-        obs.inc(f"fastsim.backend.{be.name}", n)
-        if sp.duration > 0:
-            obs.gauge("fastsim.vectors_per_s", round(n / sp.duration, 1))
-    return report
-
-
 def net_words(circuit: Circuit, vectors: Stimulus,
               nets: Optional[Sequence[str]] = None,
               initial_state: Optional[Dict[str, int]] = None
@@ -795,52 +591,21 @@ def net_words(circuit: Circuit, vectors: Stimulus,
     return dict(zip(wanted, acc)), n
 
 
-def net_words_backend(circuit: Circuit, vectors: Stimulus,
-                      nets: Optional[Sequence[str]] = None,
-                      initial_state: Optional[Dict[str, int]] = None,
-                      backend: str = "numpy"
-                      ) -> Tuple[Dict[str, int], int]:
-    """:func:`net_words` on an explicit backend (bignums out)."""
-    be = get_backend(backend)
-    plan = compile_circuit(circuit)
-    in_words, n = _pack_inputs_backend(circuit, vectors, be)
-    wanted = list(nets) if nets is not None else plan.nets
-    slots = [plan.slot[net] for net in wanted]
-    acc = [be.zeros(n) for _ in slots]
-    for V, base, c, mask in _iter_chunks_backend(plan, in_words, n,
-                                                 initial_state, be):
-        for j, s in enumerate(slots):
-            acc[j] = be.blit(acc[j], V[s] & mask, base)
-    return dict(zip(wanted, (be.to_int(w) for w in acc))), n
-
-
 def net_words_engine(circuit: Circuit, vectors: Stimulus,
                      nets: Optional[Sequence[str]] = None,
                      initial_state: Optional[Dict[str, int]] = None,
                      engine: Optional[str] = None
                      ) -> Tuple[Dict[str, int], int]:
-    """:func:`net_words` behind the standard engine dispatch chain.
+    """:func:`net_words` behind the standard engine dispatch.
 
-    ``engine`` follows the framework convention:
-    ``"fast"|"numpy"|"reference"|"auto"`` (``None`` takes the
-    process default), with the documented degradation chain
-    numpy → fast → reference.  All three produce bit-identical
-    lanes; the reference path packs a scalar-simulation trace and
-    exists so incremental re-estimation can cross-check against the
-    slowest, most-trusted engine too.
+    ``engine`` follows the framework convention: ``"fast"`` or
+    ``"reference"`` (``None`` takes the default), with fast falling
+    back to the reference for circuits it cannot compile.  Both
+    produce bit-identical lanes; the reference path packs a
+    scalar-simulation trace and exists so incremental re-estimation
+    can cross-check against the slowest, most-trusted engine too.
     """
-    from repro.logic.simulate import DEFAULT_ENGINE
-
-    resolved = resolve_engine(engine, DEFAULT_ENGINE,
-                              cycles=len(vectors),
-                              sequential=bool(circuit.latches))
-    if resolved == "numpy":
-        try:
-            return net_words_backend(circuit, vectors, nets=nets,
-                                     initial_state=initial_state)
-        except (CompileError, BackendUnavailable):
-            resolved = "fast"
-    if resolved == "fast":
+    if resolve_engine(engine) == "fast":
         try:
             return net_words(circuit, vectors, nets=nets,
                              initial_state=initial_state)
@@ -934,17 +699,6 @@ def output_trace(circuit: Circuit, vectors: Stimulus,
     """Primary-output values per cycle (fast engine)."""
     words, n = net_words(circuit, vectors, nets=circuit.outputs,
                          initial_state=initial_state)
-    return [{o: (words[o] >> t) & 1 for o in circuit.outputs}
-            for t in range(n)]
-
-
-def output_trace_backend(circuit: Circuit, vectors: Stimulus,
-                         initial_state: Optional[Dict[str, int]] = None,
-                         backend: str = "numpy") -> List[Vector]:
-    """Primary-output values per cycle on an explicit backend."""
-    words, n = net_words_backend(circuit, vectors, nets=circuit.outputs,
-                                 initial_state=initial_state,
-                                 backend=backend)
     return [{o: (words[o] >> t) & 1 for o in circuit.outputs}
             for t in range(n)]
 

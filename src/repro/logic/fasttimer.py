@@ -45,8 +45,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro import store as artifact_store
-from repro.backend.core import Backend, BackendUnavailable, \
-    default_engine, get_backend, resolve_engine
+from repro.backend.core import resolve_engine
 from repro.logic import fastsim
 from repro.logic.fastsim import CompileError, PackedVectors, Stimulus
 from repro.logic.netlist import Circuit
@@ -68,13 +67,6 @@ class TimedPlan:
     accumulators and ``M`` the lane mask.  It mutates ``C`` to the
     settled values, adds every applied value change into ``T`` and
     returns the total number of applied changes (events).
-
-    ``kernel_be(C, N, T, M, ANY, PC)`` is the same schedule rendered
-    backend-generically: words may be lane arrays, so truthiness and
-    popcounts go through the injected ``ANY``/``PC`` callables
-    (:meth:`~repro.backend.core.Backend.nonzero` /
-    :meth:`~repro.backend.core.Backend.popcount`).  ``T`` always
-    holds plain int counters.
     """
 
     circuit: Circuit
@@ -84,7 +76,6 @@ class TimedPlan:
     n_ticks: int                      # schedule horizon (last apply tick)
     n_ops: int                        # applies + evaluations in the kernel
     kernel: Callable[[List[int], List[int], List[int], int], int]
-    kernel_be: Callable[..., int]
 
 
 #: Artifact kind under which timed plans land in :mod:`repro.store`.
@@ -99,6 +90,8 @@ def _rehydrate_timed(circuit: Circuit, version: int,
     layout must match the functional plan bound to this circuit (it
     always does when both artifacts came from the same compile; a
     mismatch is treated as a miss and triggers a clean recompile).
+    Payloads may carry entries this version no longer reads (older
+    ones hold a second, lane-generic kernel); they are ignored.
     """
     try:
         func = fastsim.compile_circuit(circuit)
@@ -109,8 +102,6 @@ def _rehydrate_timed(circuit: Circuit, version: int,
     try:
         kernel = artifact_store.load_function(
             payload["kernel"], "__fasttimer_eval")
-        kernel_be = artifact_store.load_function(
-            payload["kernel_be"], "__fasttimer_eval_be")
         num, den = payload["quantum"]
         return TimedPlan(
             circuit=circuit,
@@ -120,7 +111,6 @@ def _rehydrate_timed(circuit: Circuit, version: int,
             n_ticks=int(payload["n_ticks"]),
             n_ops=int(payload["n_ops"]),
             kernel=kernel,
-            kernel_be=kernel_be,
         )
     except Exception:
         return None
@@ -199,23 +189,16 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
                 if d:
                     at(t + d)[0].append(slot[gate.output])
 
-        # The schedule is rendered twice from one walk: the bignum
-        # flavor tests words with `if _d:` and counts with
-        # `.bit_count()`, the backend-generic flavor routes both
-        # through injected ANY/PC callables so lane-array words work.
         lines = ["def __fasttimer_eval(C, N, T, M):", "    EV = 0"]
-        lines_be = ["def __fasttimer_eval_be(C, N, T, M, ANY, PC):",
-                    "    EV = 0"]
 
         def emit_apply(s: int, src: str) -> None:
-            head = [f"    _v = {src}", f"    _d = C[{s}] ^ _v"]
-            tail = [f"        T[{s}] += _t",
-                    "        EV += _t",
-                    f"        C[{s}] = _v"]
-            lines.extend(head + ["    if _d:",
-                                 "        _t = _d.bit_count()"] + tail)
-            lines_be.extend(head + ["    if ANY(_d):",
-                                    "        _t = PC(_d)"] + tail)
+            lines.extend([f"    _v = {src}",
+                          f"    _d = C[{s}] ^ _v",
+                          "    if _d:",
+                          "        _t = _d.bit_count()",
+                          f"        T[{s}] += _t",
+                          "        EV += _t",
+                          f"        C[{s}] = _v"])
 
         emitted_pending = set()
         for tick in sorted(schedule):
@@ -242,17 +225,11 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
                             f"{tick + d}")
                     emitted_pending.add(name)
                     lines.append(f"    {name} = {expr}")
-                    lines_be.append(f"    {name} = {expr}")
         lines.append("    return EV")
-        lines_be.append("    return EV")
         namespace: Dict[str, object] = {}
         source = "\n".join(lines)
-        source_be = "\n".join(lines_be)
         code = compile(source, f"<fasttimer:{circuit.name}>", "exec")
-        code_be = compile(source_be, f"<fasttimer-be:{circuit.name}>",
-                          "exec")
         exec(code, namespace)
-        exec(code_be, namespace)
 
         n_ticks = max(schedule) if schedule else 0
         sp.set("gates", circuit.gate_count())
@@ -268,7 +245,6 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
         n_ticks=n_ticks,
         n_ops=n_ops,
         kernel=namespace["__fasttimer_eval"],  # type: ignore[arg-type]
-        kernel_be=namespace["__fasttimer_eval_be"],  # type: ignore[arg-type]
     )
     quantum = Fraction(grid.quantum)
     st.put(fp, STORE_KIND, {
@@ -278,8 +254,6 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
         "n_ops": n_ops,
         "kernel": artifact_store.code_blob(
             source, f"<fasttimer:{fp[:12]}>", code),
-        "kernel_be": artifact_store.code_blob(
-            source_be, f"<fasttimer-be:{fp[:12]}>", code_be),
     })
     circuit._fasttimer_plan = plan
     return plan
@@ -323,26 +297,10 @@ def _settled_words(plan: fastsim.CompiledCircuit, in_words: List[int],
     return settled
 
 
-def _settled_words_backend(plan: fastsim.CompiledCircuit,
-                           in_words: List[object], n: int,
-                           state: Optional[Dict[str, int]],
-                           be: Backend) -> List[object]:
-    """:func:`_settled_words` on backend words (inputs pre-packed)."""
-    settled = [be.zeros(n) for _ in range(plan.n_slots)]
-    for V, base, c, mask in fastsim._iter_chunks_backend(plan, in_words,
-                                                         n, state, be):
-        for i in range(plan.n_slots):
-            # Chunk words leave the iterator masked to c bits, and
-            # bases stay 64-aligned, so the blit needs no re-mask.
-            settled[i] = be.blit(settled[i], V[i], base)
-    return settled
-
-
 def timed_batch(circuit: Circuit, vectors: Stimulus,
                 prev_values: Dict[str, int],
                 state: Optional[Dict[str, int]],
-                settling_first: bool,
-                backend: Optional[str] = None) -> BatchCounts:
+                settling_first: bool) -> BatchCounts:
     """Run one packed timed batch.
 
     ``prev_values`` gives every net's value before the first cycle
@@ -351,21 +309,8 @@ def timed_batch(circuit: Circuit, vectors: Stimulus,
     With ``settling_first`` the first lane only establishes initial
     values: it contributes ``events``/``ones`` but not
     ``toggles``/``glitches``, exactly like the reference engine's
-    settling step.  ``backend`` selects the word representation
-    (``None``/"bignum" for the native path, "numpy" for lane arrays);
-    counters are bit-identical either way.  A backend that cannot run
-    the batch (numpy missing, or a lane backend declining a
-    tight-feedback settle) degrades to the native path here, so
-    callers never see :class:`~repro.backend.core.BackendUnavailable`.
+    settling step.
     """
-    if backend is not None:
-        try:
-            be = get_backend(backend)
-            if be.name != "bignum":
-                return _timed_batch_be(circuit, vectors, prev_values,
-                                       state, settling_first, be)
-        except BackendUnavailable:
-            pass                  # fall through to the bignum path
     plan = compile_timed(circuit)
     func = plan.func
     try:
@@ -461,115 +406,6 @@ def timed_batch(circuit: Circuit, vectors: Stimulus,
     )
 
 
-def _timed_batch_be(circuit: Circuit, vectors: Stimulus,
-                    prev_values: Dict[str, int],
-                    state: Optional[Dict[str, int]],
-                    settling_first: bool, be: Backend) -> BatchCounts:
-    """:func:`timed_batch` on backend lane words.
-
-    Mirrors the bignum body operation for operation; every popcount,
-    shift and bit probe goes through ``be`` so the counters come out
-    bit-identical.  The settling lane still runs the scalar bignum
-    kernel — it is a single cycle, and ``be.get_bit`` reduces its
-    start/settled words to plain ints.
-    """
-    plan = compile_timed(circuit)
-    func = plan.func
-    try:
-        in_words, n = fastsim._pack_inputs_backend(circuit, vectors, be)
-    except KeyError as exc:
-        raise CompileError(f"stimulus missing input {exc}") from exc
-
-    nets = func.nets
-    empty = {net: 0 for net in nets}
-    if n == 0:
-        return BatchCounts(0, dict(empty), dict(empty), 0, 0, 0, 0,
-                           dict(prev_values), dict(state or {}))
-
-    with obs.span("fasttimer.batch", circuit=circuit.name,
-                  backend=be.name) as sp:
-        settled = _settled_words_backend(func, in_words, n, state, be)
-        start = [be.shift_in_time(settled[i], n,
-                                  1 if prev_values[net] else 0)
-                 for i, net in enumerate(nets)]
-
-        n_slots = func.n_slots
-        toggles = [0] * n_slots
-        events = 0
-        glitches = 0
-        lo = 1 if settling_first else 0
-
-        if settling_first:
-            # Settling lane: events only, scratch toggle accumulators.
-            C0 = [be.get_bit(w, 0) for w in start]
-            N0 = [be.get_bit(w, 0) for w in settled]
-            events += plan.kernel(C0, N0, [0] * n_slots, 1)
-        if lo < n:
-            wmask = be.ones_mask(n - lo)
-            C = [be.extract(w, lo, n - lo) for w in start]
-            N = [be.extract(w, lo, n - lo) for w in settled]
-            events += plan.kernel_be(C, N, toggles, wmask,
-                                     be.nonzero, be.popcount)
-            for i in range(n_slots):
-                boundary = be.extract(settled[i] ^ start[i], lo, n - lo)
-                glitches += toggles[i] - be.popcount(boundary)
-
-        # Settled words leave the chunk iterator masked to n bits.
-        ones = [be.popcount(settled[i]) for i in range(n_slots)]
-
-        plain = 0
-        edges_lo = 0
-        edges_last = 0
-        lowmask = None
-        for lp, latch in zip(func.latches, circuit.latches):
-            if not lp.clocked:
-                continue
-            if lp.enable_slot < 0:
-                plain += 1
-            else:
-                if lowmask is None:
-                    lowmask = be.low_mask(n - 1, n)
-                e = settled[lp.enable_slot]
-                edges_lo += be.popcount(e & lowmask)
-                edges_last += be.get_bit(e, n - 1)
-        edges_lo += plain * (n - 1)
-        edges_last += plain
-
-        last = n - 1
-        final_values = {net: be.get_bit(settled[i], last)
-                        for i, net in enumerate(nets)}
-        final_state: Dict[str, int] = {}
-        for lp, latch in zip(func.latches, circuit.latches):
-            if lp.enable_slot >= 0 \
-                    and not be.get_bit(settled[lp.enable_slot], last):
-                final_state[latch.output] = be.get_bit(
-                    settled[lp.out_slot], last)
-            else:
-                final_state[latch.output] = be.get_bit(
-                    settled[lp.data_slot], last)
-
-        sp.add("lanes", n)
-        sp.set("ops", plan.n_ops)
-    if obs.enabled():
-        obs.inc("fasttimer.lanes", n)
-        obs.inc(f"fasttimer.backend.{be.name}", n)
-        if sp.duration > 0:
-            obs.gauge("fasttimer.words_per_s",
-                      round(plan.n_ops * n / sp.duration, 1))
-
-    return BatchCounts(
-        n=n,
-        toggles=dict(zip(nets, toggles)),
-        ones=dict(zip(nets, ones)),
-        events=events,
-        glitches=glitches,
-        latch_edges_lo=edges_lo,
-        latch_edges_last=edges_last,
-        final_values=final_values,
-        final_state=final_state,
-    )
-
-
 # ----------------------------------------------------------------------
 # Standalone batch API + multiprocessing sharding
 # ----------------------------------------------------------------------
@@ -595,14 +431,12 @@ def timed_activity(circuit: Circuit, vectors: Stimulus,
     """Timed :class:`ActivityReport` for ``vectors`` from reset.
 
     Equivalent to ``EventSimulator(circuit, engine=engine).run(vectors)``
-    on a fresh simulator.  ``engine`` takes the full
-    "fast"/"numpy"/"reference"/"auto" set (default: the session
-    engine, see :func:`repro.backend.core.default_engine`).  With
-    ``workers > 1`` (compiled engines only) the lanes are split into
-    contiguous shards evaluated in parallel processes: each shard
-    re-derives its boundary state from the packed functional settle,
-    partial counts merge by summation, and the result is bit-identical
-    to the serial run.
+    on a fresh simulator.  ``engine`` is "fast" (the default) or
+    "reference".  With ``workers > 1`` (fast engine only) the lanes
+    are split into contiguous shards evaluated in parallel processes:
+    each shard re-derives its boundary state from the packed
+    functional settle, partial counts merge by summation, and the
+    result is bit-identical to the serial run.
     """
     from repro.logic import gates as gatelib
     from repro.logic.eventsim import EventSimulator
@@ -617,12 +451,10 @@ def timed_activity(circuit: Circuit, vectors: Stimulus,
             # reference engine; let the simulator handle it.
             return EventSimulator(circuit, engine=engine).run(vecs)
     n = vectors.n
-    resolved = resolve_engine(engine, default_engine(), cycles=n,
-                              sequential=bool(circuit.latches))
+    resolved = resolve_engine(engine)
     if resolved == "reference" or not workers or workers <= 1 \
             or n < 2 * _MIN_SHARD:
         return EventSimulator(circuit, engine=resolved).run(vectors)
-    shard_backend = "numpy" if resolved == "numpy" else None
 
     try:
         plan = compile_timed(circuit)
@@ -664,7 +496,7 @@ def timed_activity(circuit: Circuit, vectors: Stimulus,
                         st[latch.output] = (settled[lp.data_slot]
                                             >> (lo - 1)) & 1
             jobs.append((circuit, _shard_slice(vectors, lo, hi),
-                         prev, st, lo == 0, shard_backend))
+                         prev, st, lo == 0))
 
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(
@@ -739,8 +571,7 @@ def timed_activity_cached(circuit: Circuit, vectors: Stimulus,
             return timed_activity(circuit, vectors, workers=workers,
                                   engine=engine)
     n = vectors.n
-    resolved = resolve_engine(engine, default_engine(), cycles=n,
-                              sequential=bool(circuit.latches))
+    resolved = resolve_engine(engine)
     key = artifact_store.activity_key(
         circuit.fingerprint(), fastsim.stimulus_fingerprint(vectors),
         f"timed/{resolved}", n)

@@ -347,8 +347,6 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
     boundary lane is unavailable.
     """
     cache = cache if cache is not None else get_cone_cache()
-    from repro.logic.simulate import DEFAULT_ENGINE
-
     packed = _ensure_packed(circuit, vectors)
     if packed is None or packed.n == 0 or initial_state is not None:
         report = collect_activity(circuit, vectors,
@@ -357,8 +355,7 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
         return report, DeltaStats(source="fallback",
                                   total_nets=len(circuit.nets))
     n = packed.n
-    resolved = resolve_engine(engine, DEFAULT_ENGINE, cycles=n,
-                              sequential=bool(circuit.latches))
+    resolved = resolve_engine(engine)
     keys = _keys if _keys is not None else cone_keys(circuit, packed,
                                                      resolved)
     nets = circuit.nets
@@ -564,11 +561,7 @@ def cached_activity(circuit: Circuit, vectors: Stimulus,
     packed = _ensure_packed(circuit, vectors)
     if packed is None or packed.n == 0:
         return None
-    from repro.logic.simulate import DEFAULT_ENGINE
-
-    resolved = resolve_engine(engine, DEFAULT_ENGINE,
-                              cycles=packed.n,
-                              sequential=bool(circuit.latches))
+    resolved = resolve_engine(engine)
     keys = cone_keys(circuit, packed, resolved)
     inputs = set(circuit.inputs)
     non_input = [net for net in circuit.nets if net not in inputs]

@@ -7,25 +7,19 @@ functional simulation" repeatedly invoked by the paper's high-level
 models (e.g. to obtain output entropies in Section II-B1 or output
 activities for the 3D-table macro-model of [41]).
 
-Three engines back the public entry points:
+Two engines back the public entry points:
 
 - the *reference* engine in this module: scalar, one vector at a
   time, per-gate dict lookups — simple and obviously correct,
 - the *fast* engine in :mod:`repro.logic.fastsim`: a compiled,
   bit-parallel evaluator that packs the whole batch into one bignum
   word per net and is exactly equivalent (bit-identical
-  :class:`ActivityReport`),
-- the *numpy* engine: the same compiled plans lowered onto
-  ``uint64`` lane arrays (:mod:`repro.backend.lanes`), fastest on
-  long narrow batches.
+  :class:`ActivityReport`).
 
 :func:`collect_activity` and :func:`output_trace` take
-``engine="fast"|"numpy"|"reference"|"auto"`` and default to
-:data:`DEFAULT_ENGINE` (the fast engine unless overridden via the
-``REPRO_ENGINE`` environment variable).  The fallback is a chain:
-numpy degrades to fast when numpy is unavailable, and both compiled
-engines degrade to the scalar reference for circuits the compiler
-cannot lower.
+``engine="fast"|"reference"`` and default to :data:`DEFAULT_ENGINE`
+(the fast engine).  The fast engine falls back to the scalar
+reference for circuits the compiler cannot lower.
 """
 
 from __future__ import annotations
@@ -34,17 +28,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.backend.core import BackendUnavailable, default_engine, \
-    resolve_engine
+from repro.backend.core import resolve_engine
 from repro.logic import gates as gatelib
 from repro.logic.netlist import Circuit
 
 
 Vector = Dict[str, int]
 
-#: Engine used when callers do not pass ``engine=...`` explicitly
-#: ("fast", or the value of ``REPRO_ENGINE`` when set and valid).
-DEFAULT_ENGINE = default_engine()
+#: Engine used when callers do not pass ``engine=...`` explicitly.
+DEFAULT_ENGINE = "fast"
 
 
 def random_vectors(inputs: Sequence[str], n: int,
@@ -182,24 +174,13 @@ def collect_activity(circuit: Circuit, vectors: Sequence[Vector],
     ``vectors`` is a sequence of per-cycle input dicts or a
     :class:`repro.logic.fastsim.PackedVectors` batch.  ``engine``
     selects the implementation: ``"fast"`` (bit-parallel compiled on
-    bignum words, the default), ``"numpy"`` (the same plans on
-    ``uint64`` lane arrays), ``"reference"`` (scalar), or ``"auto"``
-    (picks per workload shape).  All produce bit-identical reports;
-    the compiled engines fall down the chain — numpy to fast when
-    numpy is unavailable, fast to the reference when the circuit
-    cannot be compiled.
+    bignum words, the default) or ``"reference"`` (scalar).  Both
+    produce bit-identical reports; the fast engine falls back to the
+    reference when the circuit cannot be compiled.
     """
     from repro.logic import fastsim
 
-    engine = resolve_engine(engine, DEFAULT_ENGINE, cycles=len(vectors),
-                            sequential=bool(circuit.latches))
-    if engine == "numpy":
-        try:
-            return fastsim.collect_activity_backend(
-                circuit, vectors, initial_state, backend="numpy")
-        except (fastsim.CompileError, BackendUnavailable):
-            engine = "fast"
-    if engine == "fast":
+    if resolve_engine(engine, DEFAULT_ENGINE) == "fast":
         try:
             return fastsim.collect_activity(circuit, vectors, initial_state)
         except fastsim.CompileError:
@@ -262,21 +243,11 @@ def output_trace(circuit: Circuit, vectors: Sequence[Vector],
                  engine: Optional[str] = None) -> List[Vector]:
     """Primary-output values per cycle (convenience wrapper).
 
-    Same engine dispatch and fallback chain as
-    :func:`collect_activity`.
+    Same engine dispatch and fallback as :func:`collect_activity`.
     """
     from repro.logic import fastsim
 
-    engine = resolve_engine(engine, DEFAULT_ENGINE, cycles=len(vectors),
-                            sequential=bool(circuit.latches))
-    if engine == "numpy":
-        try:
-            return fastsim.output_trace_backend(circuit, vectors,
-                                                initial_state,
-                                                backend="numpy")
-        except (fastsim.CompileError, BackendUnavailable):
-            engine = "fast"
-    if engine == "fast":
+    if resolve_engine(engine, DEFAULT_ENGINE) == "fast":
         try:
             return fastsim.output_trace(circuit, vectors, initial_state)
         except fastsim.CompileError:

@@ -42,7 +42,6 @@ from multiprocessing.pool import ThreadPool
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.backend.core import ENGINES
 from repro.obs.manifest import run_manifest
 
 __all__ = ["discover_benches", "run_bench", "run_sweep",
@@ -58,7 +57,6 @@ SMOKE_BENCHES = [
     "bench_perf_bdd.py",
     "bench_perf_eventsim.py",
     "bench_perf_streams.py",
-    "bench_perf_backends.py",
     "bench_perf_serve.py",
     "bench_perf_learned.py",
     "bench_perf_incremental.py",
@@ -69,9 +67,8 @@ SMOKE_BENCHES = [
 #: each: entries carry a ``speedup`` field compared against baseline.
 BASELINE_FILES = ["BENCH_fastsim.json", "BENCH_bdd.json",
                   "BENCH_eventsim.json", "BENCH_streams.json",
-                  "BENCH_backends.json", "BENCH_serve.json",
-                  "BENCH_learned.json", "BENCH_incremental.json",
-                  "BENCH_search.json"]
+                  "BENCH_serve.json", "BENCH_learned.json",
+                  "BENCH_incremental.json", "BENCH_search.json"]
 
 
 def default_repo_root() -> Path:
@@ -93,8 +90,7 @@ def discover_benches(bench_dir: Path) -> List[Path]:
 # Single-bench execution
 # ----------------------------------------------------------------------
 def _child_env(bench_dir: Path, telemetry_path: Path,
-               trace: bool, backend: Optional[str] = None,
-               store_dir: Optional[Path] = None,
+               trace: bool, store_dir: Optional[Path] = None,
                search_workers: Optional[str] = None,
                cone_cache_bytes: Optional[int] = None
                ) -> Dict[str, str]:
@@ -108,8 +104,6 @@ def _child_env(bench_dir: Path, telemetry_path: Path,
     else:
         env.pop("REPRO_OBS", None)
         env.pop("REPRO_OBS_EXPORT", None)
-    if backend is not None:
-        env["REPRO_ENGINE"] = backend
     if store_dir is not None:
         env["REPRO_STORE"] = str(store_dir)
     if search_workers is not None:
@@ -143,7 +137,6 @@ def _telemetry_digest(path: Path) -> Optional[Dict[str, Any]]:
 
 def run_bench(bench: Path, timeout: float, trace: bool = True,
               retries: int = 1,
-              backend: Optional[str] = None,
               store_dir: Optional[Path] = None,
               search_workers: Optional[str] = None,
               cone_cache_bytes: Optional[int] = None) -> Dict[str, Any]:
@@ -152,14 +145,12 @@ def run_bench(bench: Path, timeout: float, trace: bool = True,
     Returns the BENCH_ALL entry: status in {ok, failed, timeout},
     duration, attempt count, and (on failure) the output tail.  Never
     raises — an un-runnable bench is a *result*, not an error.
-    ``backend`` exports ``REPRO_ENGINE`` to the worker so the bench's
-    default-engine call sites run on that engine; ``store_dir``
-    exports ``REPRO_STORE`` so all benches share one plan store (a
-    structure compiled by any bench rehydrates in every other).
-    ``search_workers`` and ``cone_cache_bytes`` export
+    ``store_dir`` exports ``REPRO_STORE`` so all benches share one
+    plan store (a structure compiled by any bench rehydrates in every
+    other).  ``search_workers`` and ``cone_cache_bytes`` export
     ``REPRO_SEARCH_WORKERS`` / ``REPRO_CONE_CACHE_BYTES`` so the
     candidate-search pool width and cone-cache budget are sweep
-    configuration, recorded in BENCH_ALL alongside backend/store.
+    configuration, recorded in BENCH_ALL alongside the store.
     """
     attempts = 0
     entry: Dict[str, Any] = {"bench": bench.name}
@@ -174,7 +165,7 @@ def run_bench(bench: Path, timeout: float, trace: bool = True,
                 proc = subprocess.run(
                     cmd, cwd=str(bench.parent), timeout=timeout,
                     env=_child_env(bench.parent, telemetry_path, trace,
-                                   backend, store_dir, search_workers,
+                                   store_dir, search_workers,
                                    cone_cache_bytes),
                     stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                     text=True)
@@ -259,8 +250,7 @@ def gate_regressions(baselines: Dict[str, Dict[str, Any]],
 
 def run_sweep(benches: Sequence[Path], jobs: int, timeout: float,
               trace: bool = True, retries: int = 1,
-              progress=None, backend: Optional[str] = None,
-              store_dir: Optional[Path] = None,
+              progress=None, store_dir: Optional[Path] = None,
               search_workers: Optional[str] = None,
               cone_cache_bytes: Optional[int] = None
               ) -> Dict[str, Dict[str, Any]]:
@@ -271,8 +261,7 @@ def run_sweep(benches: Sequence[Path], jobs: int, timeout: float,
 
     def work(bench: Path) -> Dict[str, Any]:
         entry = run_bench(bench, timeout=timeout, trace=trace,
-                          retries=retries, backend=backend,
-                          store_dir=store_dir,
+                          retries=retries, store_dir=store_dir,
                           search_workers=search_workers,
                           cone_cache_bytes=cone_cache_bytes)
         if progress is not None:
@@ -341,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-trace", action="store_true",
                         help="do not enable repro.obs telemetry in "
                              "bench workers")
-    parser.add_argument("--backend", choices=list(ENGINES), default=None,
-                        help="run bench workers with this default "
-                             "engine (exports REPRO_ENGINE)")
     parser.add_argument("--store", metavar="DIR", type=Path,
                         default=None,
                         help="shared plan-store directory exported to "
@@ -427,7 +413,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         results = run_sweep(benches, jobs=jobs, timeout=timeout,
                             trace=not args.no_trace, progress=progress,
-                            backend=args.backend, store_dir=store_dir,
+                            store_dir=store_dir,
                             search_workers=args.search_workers,
                             cone_cache_bytes=args.cone_cache_bytes)
     finally:
@@ -441,7 +427,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "jobs": jobs,
         "timeout_s": timeout,
         "trace": not args.no_trace,
-        "backend": args.backend,
         "store": str(store_dir) if store_dir else None,
         "search_workers": args.search_workers,
         "cone_cache_bytes": args.cone_cache_bytes,

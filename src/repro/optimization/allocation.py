@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.backend.core import default_engine, resolve_engine
+from repro.backend.core import resolve_engine
 from repro.cdfg.graph import Cdfg, CdfgNode
 from repro.cdfg.schedule import Schedule
 from repro.rtl import faststreams
@@ -94,11 +94,8 @@ def average_switch_fraction(values_a: Sequence[int],
     if not values_a or not values_b:
         return 0.5
     n = min(len(values_a), len(values_b))
-    engine = resolve_engine(engine, default_engine(), cycles=n)
-    if engine != "reference":
-        total = faststreams.cross_hamming(
-            values_a, values_b, width,
-            backend="numpy" if engine == "numpy" else None)
+    if resolve_engine(engine) == "fast":
+        total = faststreams.cross_hamming(values_a, values_b, width)
     else:
         total = sum(hamming(values_a[t], values_b[t]) for t in range(n))
     return total / (n * width)
@@ -182,9 +179,7 @@ def _binding_switching(order_by_resource: Dict[int, List[int]],
     """Bits switched per iteration at shared-resource inputs."""
     total = 0.0
     cycles = len(next(iter(traces.values()))) if traces else 1
-    engine = resolve_engine(engine, default_engine(), cycles=cycles)
-    if engine != "reference":
-        backend = "numpy" if engine == "numpy" else None
+    if resolve_engine(engine) == "fast":
         packs: Dict[int, int] = {}
 
         def packed(uid: int) -> int:
@@ -197,8 +192,7 @@ def _binding_switching(order_by_resource: Dict[int, List[int]],
                 continue
             for a, b in zip(uids, uids[1:]):
                 total += faststreams.cross_hamming(
-                    traces[a], traces[b], width, packed(a), packed(b),
-                    backend=backend)
+                    traces[a], traces[b], width, packed(a), packed(b))
         return total / max(1, cycles)
     for uids in order_by_resource.values():
         if len(uids) < 2:

@@ -33,8 +33,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.backend.core import default_engine, numpy_or_none, \
-    resolve_engine
+import numpy as np
+
+from repro.backend.core import resolve_engine
 from repro.rtl import faststreams
 from repro.rtl.streams import WordStream
 from repro.util.bits import hamming
@@ -379,25 +380,20 @@ class BeachCode(BusCode):
             self.inverse.append({v: k for k, v in mapping.items()})
 
     def _cluster_lines(self, trace: Sequence[int]) -> List[List[int]]:
-        np = numpy_or_none()
-
         planes = faststreams.pack_planes(trace, self.width)
         counts = faststreams.one_counts(planes)
         n = len(trace)
         # Packed lane–lane correlation (one popcount per lane pair)
         # replaces the n x width float matrix of the reference path.
-        # Constant lines have no variance and correlate exactly 0 on
-        # every backend.
-        raw = faststreams.correlation_matrix(planes)
-        corr = np.abs(raw) if np is not None \
-            else [[abs(v) for v in row] for row in raw]
+        # Constant lines have no variance and correlate exactly 0.
+        corr = np.abs(faststreams.correlation_matrix(planes))
         # With constant lines in the trace, the surviving entries of
         # their rows sit at the sampling-noise floor (~1/sqrt(n)), and
         # letting that noise steer the greedy growth splits genuinely
         # co-varying groups.  Zero out sub-significance correlations
         # and break ties toward adjacent bus lines — the locality bias
         # of the Beach clustering itself — so the result is
-        # deterministic and identical with or without numpy.
+        # deterministic.
         degenerate = n > 0 and any(c in (0, n) for c in counts)
         sig = 2.0 / math.sqrt(n) if n else 0.0
         unassigned = set(range(self.width))
@@ -504,18 +500,15 @@ def count_transitions(code: BusCode, stream: WordStream,
                       engine: Optional[str] = None) -> BusReport:
     """Drive the stream through the code; count bus-line transitions.
 
-    Stateless (combinational) codes take the packed path on the
-    compiled engines ("fast" on bignum words, "numpy" on lane
-    arrays): the encoded word list is counted with one shifted-xor
+    Stateless (combinational) codes take the packed path on the fast
+    engine: the encoded word list is counted with one shifted-xor
     popcount instead of a per-cycle Hamming loop.  Stateful codes
     always run the scalar reference loop (their encode order *is* the
-    state).  All engines return identical counts.
+    state).  Both engines return identical counts.
     """
     code.reset()
     mask = (1 << code.width) - 1
-    engine = resolve_engine(engine, default_engine(),
-                            cycles=len(stream.words))
-    if engine != "reference" and code.stateless:
+    if resolve_engine(engine) == "fast" and code.stateless:
         encoded = [code.encode(word) for word in stream.words]
         if check_decode:
             for word, bus_value in zip(stream.words, encoded):
@@ -524,9 +517,8 @@ def count_transitions(code: BusCode, stream: WordStream,
                     raise AssertionError(
                         f"{code.name}: decode mismatch "
                         f"{decoded} != {word}")
-        transitions = faststreams.transition_count(
-            encoded, code.total_lines,
-            backend="numpy" if engine == "numpy" else None)
+        transitions = faststreams.transition_count(encoded,
+                                                   code.total_lines)
         return BusReport(code.name, transitions, len(stream.words),
                          code.total_lines)
     prev: Optional[int] = None

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.backend.core import default_engine, resolve_engine
+from repro.backend.core import resolve_engine
 from repro.cdfg.graph import Cdfg, CdfgNode
 from repro.cdfg.schedule import Schedule, alap, asap, list_schedule
 from repro.rtl import faststreams
@@ -169,9 +169,7 @@ def fu_input_switching(cdfg: Cdfg, schedule: Schedule,
         nodes.sort(key=lambda n: schedule.steps[n.uid])
 
     total = 0.0
-    engine = resolve_engine(engine, default_engine(), cycles=cycles)
-    if engine != "reference":
-        backend = "numpy" if engine == "numpy" else None
+    if resolve_engine(engine) == "fast":
         packs: Dict[int, int] = {}
 
         def packed(uid: int) -> int:
@@ -185,8 +183,7 @@ def fu_input_switching(cdfg: Cdfg, schedule: Schedule,
                 for a, b in zip(prev.operands[:2], node.operands[:2]):
                     total += faststreams.cross_hamming(
                         traces[a][:cycles], traces[b][:cycles],
-                        cdfg.width, packed(a), packed(b),
-                        backend=backend)
+                        cdfg.width, packed(a), packed(b))
         return total / cycles
     for unit, nodes in per_unit.items():
         for t in range(cycles):

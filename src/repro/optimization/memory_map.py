@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.backend.core import default_engine, resolve_engine
+from repro.backend.core import resolve_engine
 from repro.estimation.parametric import MemoryArray
 from repro.rtl import faststreams
 from repro.util.bits import hamming
@@ -33,13 +33,9 @@ from repro.util.bits import hamming
 def bus_transitions(addresses: Sequence[int],
                     engine: Optional[str] = None) -> int:
     """Total address-bus line toggles over an access trace."""
-    engine = resolve_engine(engine, default_engine(),
-                            cycles=len(addresses))
-    if engine != "reference":
+    if resolve_engine(engine) == "fast":
         width = max((a.bit_length() for a in addresses), default=0) or 1
-        return faststreams.transition_count(
-            addresses, width,
-            backend="numpy" if engine == "numpy" else None)
+        return faststreams.transition_count(addresses, width)
     total = 0
     for a, b in zip(addresses, addresses[1:]):
         total += hamming(a, b)

@@ -31,11 +31,10 @@ Contract
   (deterministic) exceptions propagate exactly as the serial walk
   would raise them.
 - **Stimulus ships once per worker, not once per candidate.**  The
-  packed stimulus + extras are pickled a single time per sweep and
-  transferred through ``multiprocessing.shared_memory`` when the
-  numpy backend is up (one copy in the page cache, zero per-job
-  bytes); the bignum-only fallback is one spool-file transfer cached
-  per worker by content fingerprint.  Jobs carry only the fingerprint.
+  packed stimulus + extras are pickled a single time per sweep; small
+  contexts ride inline in each job, larger ones are one spool-file
+  transfer cached per worker by content fingerprint.  Jobs carry only
+  the fingerprint (and the inline bytes, when small).
 
 Knobs: every public pass entry point takes ``workers=N | "auto"``;
 ``None`` defers to ``REPRO_SEARCH_WORKERS`` (same grammar), default
@@ -56,7 +55,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro import obs
 from repro import store as artifact_store
-from repro.backend.core import numpy_available
 from repro.util import seeding
 
 __all__ = [
@@ -69,8 +67,8 @@ __all__ = [
 ENV_WORKERS = "REPRO_SEARCH_WORKERS"
 
 #: Contexts at most this size are inlined into each job submission
-#: instead of going through shared memory / a spool file (the pickle
-#: header is cheaper than a segment for tiny payloads).
+#: instead of going through a spool file (re-sending a few KiB per job
+#: is cheaper than a file round trip).
 _INLINE_LIMIT = 16 * 1024
 
 #: Worker-side context cache entries (keyed by content fingerprint).
@@ -167,22 +165,6 @@ def _materialize(ref: Dict[str, Any]) -> Dict[str, Any]:
         kind = ref["kind"]
         if kind == "inline":
             blob = ref["data"]
-        elif kind == "shm":
-            from multiprocessing import shared_memory
-            seg = shared_memory.SharedMemory(name=ref["name"])
-            try:
-                blob = bytes(seg.buf[:ref["size"]])
-            finally:
-                try:
-                    # Attaching registers the segment with the resource
-                    # tracker a second time (owner already tracks it);
-                    # drop the duplicate or the tracker warns at exit.
-                    from multiprocessing import resource_tracker
-                    resource_tracker.unregister(seg._name,
-                                                "shared_memory")
-                except Exception:
-                    pass
-                seg.close()
         else:                                   # "file"
             with open(ref["path"], "rb") as fh:
                 blob = fh.read()
@@ -229,7 +211,6 @@ _POOL_KEY: Optional[tuple] = None
 _POOL_STORE_TMP: Optional[tempfile.TemporaryDirectory] = None
 _SPOOL_DIR: Optional[tempfile.TemporaryDirectory] = None
 _SHIPPED: Dict[str, Dict[str, Any]] = {}
-_SHM_SEGMENTS: Dict[str, Any] = {}
 _ATEXIT_REGISTERED = False
 
 
@@ -259,13 +240,6 @@ def shutdown_pool() -> None:
         _POOL.shutdown(wait=False, cancel_futures=True)
         _POOL = None
         _POOL_KEY = None
-    for seg in _SHM_SEGMENTS.values():
-        try:
-            seg.close()
-            seg.unlink()
-        except Exception:
-            pass
-    _SHM_SEGMENTS.clear()
     _SHIPPED.clear()
     if _POOL_STORE_TMP is not None:
         _POOL_STORE_TMP.cleanup()
@@ -334,23 +308,9 @@ def _ship_context(stimuli: Dict[str, Any],
         return ref
     if len(blob) <= _INLINE_LIMIT:
         ref = {"kind": "inline", "fp": fp, "data": blob}
-    elif numpy_available():
-        # Lane arrays ride shared memory: one copy, mapped by every
-        # worker, zero per-job transfer.
-        try:
-            from multiprocessing import shared_memory
-            seg = shared_memory.SharedMemory(create=True, size=len(blob))
-            seg.buf[:len(blob)] = blob
-            _SHM_SEGMENTS[fp] = seg
-            ref = {"kind": "shm", "fp": fp, "name": seg.name,
-                   "size": len(blob)}
-        except Exception:
-            ref = None
     else:
-        ref = None
-    if ref is None:
-        # Bignum fallback (or shm unavailable): one pickled transfer
-        # through a spool file, cached per worker by fingerprint.
+        # One pickled transfer through a spool file, cached per
+        # worker by fingerprint.
         global _SPOOL_DIR
         if _SPOOL_DIR is None:
             _SPOOL_DIR = tempfile.TemporaryDirectory(

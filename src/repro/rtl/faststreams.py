@@ -33,27 +33,20 @@ same final division for the derived rates); the float-weighted
 objectives (:func:`weighted_hamming`, :func:`correlation_matrix`)
 agree to float round-off.  ``tests/test_faststreams.py`` cross-checks
 all of them property-style.
-
-The integer kernels additionally take ``backend=`` from the unified
-seam (:mod:`repro.backend`): ``"numpy"`` runs the same shift/xor/
-popcount recipe on ``uint64`` lane arrays (fastest for very long
-streams), any other value keeps the native bignum words.  The
-float kernels degrade to pure-python loops when numpy is missing
-(e.g. under ``REPRO_NO_NUMPY=1``) instead of raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro import obs
-from repro.backend.core import Backend, BackendUnavailable, get_backend, \
-    numpy_or_none
 from repro.util.bits import popcount
 
 __all__ = [
-    "BitPlanes", "pack_planes", "pack_words", "backend_lanes",
+    "BitPlanes", "pack_planes", "pack_words",
     "one_counts", "toggle_counts",
     "transition_count", "cross_hamming", "pairwise_hamming_matrix",
     "correlation_matrix", "popcount_array", "weighted_hamming",
@@ -83,7 +76,7 @@ def pack_planes(words: Sequence[int], width: int) -> BitPlanes:
     with obs.span("faststreams.pack_planes", words=len(words),
                   width=width):
         obs.inc("faststreams.pack_planes")
-        if numpy_or_none() is not None and width <= 64:
+        if width <= 64:
             return _pack_planes_numpy(words, width)
         lanes = [0] * width
         bit = 1
@@ -97,9 +90,6 @@ def pack_planes(words: Sequence[int], width: int) -> BitPlanes:
 
 
 def _pack_planes_numpy(words: Sequence[int], width: int) -> BitPlanes:
-    np = numpy_or_none()
-    if np is None:                     # pragma: no cover - guarded
-        raise BackendUnavailable("numpy is unavailable")
     arr = np.asarray(words, dtype=np.uint64)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
@@ -110,26 +100,6 @@ def _pack_planes_numpy(words: Sequence[int], width: int) -> BitPlanes:
         lanes.append(int.from_bytes(
             np.packbits(bits, bitorder="little").tobytes(), "little"))
     return BitPlanes(lanes, len(words), width)
-
-
-def backend_lanes(planes: BitPlanes, backend) -> List[object]:
-    """Per-lane backend words for ``planes`` (cached on the object).
-
-    The bit-plane transpose itself stays bignum; lane backends get
-    their word representation through one conversion per lane, reused
-    across statistics calls (``WordStream`` caches the
-    :class:`BitPlanes`, so the conversion rides the same lifetime).
-    """
-    be = get_backend(backend)
-    cache = getattr(planes, "_backend_lanes", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(planes, "_backend_lanes", cache)
-    words = cache.get(be.name)
-    if words is None:
-        words = cache[be.name] = [be.from_int(lane, planes.n)
-                                  for lane in planes.lanes]
-    return words
 
 
 def pack_words(words: Sequence[int], width: int) -> int:
@@ -145,8 +115,7 @@ def pack_words(words: Sequence[int], width: int) -> int:
         obs.inc("faststreams.pack_words")
         if not words:
             return 0
-        np = numpy_or_none()
-        if np is not None and width <= 64 and width % 8 == 0:
+        if width <= 64 and width % 8 == 0:
             arr = np.asarray(words, dtype=np.uint64)
             raw = np.frombuffer(arr.astype("<u8").tobytes(),
                                 dtype=np.uint8)
@@ -169,55 +138,28 @@ def pack_words(words: Sequence[int], width: int) -> int:
 # Integer kernels (bit-identical to the scalar references)
 # ----------------------------------------------------------------------
 
-def one_counts(planes: BitPlanes,
-               backend: Optional[str] = None) -> List[int]:
-    """Per-lane count of ones across the stream.
-
-    ``backend`` selects the word representation the popcounts run on
-    (``None``/"bignum" native, "numpy" lane arrays); counts are
-    identical either way.
-    """
-    if backend is not None:
-        be = get_backend(backend)
-        if be.name != "bignum":
-            return [be.popcount(w) for w in backend_lanes(planes, be)]
+def one_counts(planes: BitPlanes) -> List[int]:
+    """Per-lane count of ones across the stream."""
     return [popcount(lane) for lane in planes.lanes]
 
 
-def toggle_counts(planes: BitPlanes,
-                  backend: Optional[str] = None) -> List[int]:
+def toggle_counts(planes: BitPlanes) -> List[int]:
     """Per-lane count of transitions between consecutive cycles."""
     if planes.n < 2:
         return [0] * planes.width
-    if backend is not None:
-        be = get_backend(backend)
-        if be.name != "bignum":
-            # Seeding the carry with the lane's own bit 0 makes the
-            # cycle-0 boundary contribute zero, leaving exactly the
-            # n - 1 between-cycle transitions.
-            return [be.toggle_count(w, planes.n, be.get_bit(w, 0))
-                    for w in backend_lanes(planes, be)]
     mask = (1 << (planes.n - 1)) - 1
     return [popcount((lane ^ (lane >> 1)) & mask)
             for lane in planes.lanes]
 
 
 def transition_count(words: Sequence[int], width: int,
-                     packed: Optional[int] = None,
-                     backend: Optional[str] = None) -> int:
+                     packed: Optional[int] = None) -> int:
     """Total Hamming distance between consecutive words of a stream."""
     n = len(words)
     if n < 2:
         return 0
     if packed is None:
         packed = pack_words(words, width)
-    if backend is not None:
-        be = get_backend(backend)
-        if be.name != "bignum":
-            total = n * width
-            pw = be.from_int(packed, total)
-            return be.popcount(be.extract(pw, width, total - width)
-                               ^ be.extract(pw, 0, total - width))
     mask = (1 << ((n - 1) * width)) - 1
     return popcount((packed ^ (packed >> width)) & mask)
 
@@ -225,8 +167,7 @@ def transition_count(words: Sequence[int], width: int,
 def cross_hamming(words_a: Sequence[int], words_b: Sequence[int],
                   width: int,
                   packed_a: Optional[int] = None,
-                  packed_b: Optional[int] = None,
-                  backend: Optional[str] = None) -> int:
+                  packed_b: Optional[int] = None) -> int:
     """Sum over cycles of the Hamming distance between two streams.
 
     Streams of different lengths are compared over the common prefix,
@@ -239,13 +180,6 @@ def cross_hamming(words_a: Sequence[int], words_b: Sequence[int],
         packed_a = pack_words(words_a, width)
     if packed_b is None:
         packed_b = pack_words(words_b, width)
-    if backend is not None:
-        be = get_backend(backend)
-        if be.name != "bignum":
-            total = n * width
-            wa = be.from_int(packed_a & ((1 << total) - 1), total)
-            wb = be.from_int(packed_b & ((1 << total) - 1), total)
-            return be.popcount(wa ^ wb)
     diff = packed_a ^ packed_b
     if len(words_a) != len(words_b):
         diff &= (1 << (n * width)) - 1
@@ -253,9 +187,7 @@ def cross_hamming(words_a: Sequence[int], words_b: Sequence[int],
 
 
 def pairwise_hamming_matrix(traces: Sequence[Sequence[int]],
-                            width: int,
-                            backend: Optional[str] = None
-                            ) -> List[List[int]]:
+                            width: int) -> List[List[int]]:
     """Symmetric matrix of total pairwise Hamming distances.
 
     ``matrix[i][j]`` is the sum over cycles of ``hamming(traces[i][t],
@@ -269,24 +201,6 @@ def pairwise_hamming_matrix(traces: Sequence[Sequence[int]],
         lengths = [len(t) for t in traces]
         k = len(traces)
         matrix = [[0] * k for _ in range(k)]
-        be = None
-        if backend is not None:
-            cand = get_backend(backend)
-            if cand.name != "bignum" and len(set(lengths)) == 1:
-                # Equal-length traces: convert each pack once, then
-                # every pair is a lane-array xor + popcount.  Mixed
-                # lengths keep the bignum path (per-pair masking).
-                be = cand
-        if be is not None:
-            n_bits = lengths[0] * width if lengths else 0
-            words = [be.from_int(p, n_bits) for p in packs]
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if lengths[i] == 0:
-                        continue
-                    matrix[i][j] = matrix[j][i] = \
-                        be.popcount(words[i] ^ words[j])
-            return matrix
         for i in range(k):
             for j in range(i + 1, k):
                 n = min(lengths[i], lengths[j])
@@ -315,14 +229,7 @@ def correlation_matrix(planes: BitPlanes):
     whole matrix needs ``width * (width + 1) / 2`` popcounts instead
     of materializing an ``n x width`` float matrix.  Lanes with zero
     variance correlate 0 with everything (1 with themselves).
-
-    Without numpy the same values come back as nested lists (the
-    popcount formulation never needed the float matrix, only the
-    final normalization).
     """
-    np = numpy_or_none()
-    if np is None:
-        return _correlation_matrix_py(planes)
     with obs.span("faststreams.correlation_matrix",
                   width=planes.width, cycles=planes.n):
         obs.inc("faststreams.correlation_matrix")
@@ -350,38 +257,8 @@ def correlation_matrix(planes: BitPlanes):
         return corr
 
 
-def _correlation_matrix_py(planes: BitPlanes) -> List[List[float]]:
-    """Pure-python :func:`correlation_matrix` (same popcount math)."""
-    w = planes.width
-    n = planes.n
-    if n == 0:
-        return [[1.0 if i == j else 0.0 for j in range(w)]
-                for i in range(w)]
-    ones = [popcount(lane) for lane in planes.lanes]
-    mean = [o / n for o in ones]
-    std = [(m - m * m) ** 0.5 for m in mean]
-    corr = [[0.0] * w for _ in range(w)]
-    for i in range(w):
-        corr[i][i] = 1.0
-        for j in range(i + 1, w):
-            denom = std[i] * std[j]
-            if denom > 0:
-                cov = popcount(planes.lanes[i] & planes.lanes[j]) / n \
-                    - mean[i] * mean[j]
-                corr[i][j] = corr[j][i] = cov / denom
-    return corr
-
-
 def popcount_array(arr):
-    """Vectorized popcount over an unsigned numpy integer array.
-
-    Without numpy, accepts any sequence of non-negative ints and
-    degrades to a list of scalar popcounts (same values, same
-    indexing), so callers need no availability guard of their own.
-    """
-    np = numpy_or_none()
-    if np is None:
-        return [popcount(int(x)) for x in arr]
+    """Vectorized popcount over an unsigned numpy integer array."""
     arr = np.asarray(arr, dtype=np.uint64)
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(arr).astype(np.int64)
@@ -402,19 +279,8 @@ def lane_transition_probs(codes: Sequence[int], ia, ib, p,
     Element ``l`` is the total probability mass of pairs whose codes
     differ in bit lane ``l``; its sum is the weighted-Hamming
     objective.  ``ia``/``ib`` index into ``codes``; ``p`` carries the
-    pair probabilities.  Without numpy the same vector comes back as
-    a list.
+    pair probabilities.
     """
-    np = numpy_or_none()
-    if np is None:
-        lanes_py = [0.0] * n_bits
-        for a, b, pk in zip(ia, ib, p):
-            diff = codes[a] ^ codes[b]
-            while diff:
-                lsb = diff & -diff
-                lanes_py[lsb.bit_length() - 1] += pk
-                diff ^= lsb
-        return lanes_py
     codes_arr = np.asarray(codes, dtype=np.uint64)
     diff = codes_arr[ia] ^ codes_arr[ib]
     p = np.asarray(p, dtype=np.float64)
@@ -426,15 +292,7 @@ def lane_transition_probs(codes: Sequence[int], ia, ib, p,
 
 
 def weighted_hamming(codes: Sequence[int], ia, ib, p) -> float:
-    """Probability-weighted Hamming objective sum(p * H(c_a, c_b)).
-
-    Degrades to the scalar loop when numpy is unavailable (``ia``/
-    ``ib`` then only need to be iterables of indices).
-    """
-    np = numpy_or_none()
-    if np is None:
-        return float(sum(pk * popcount(codes[a] ^ codes[b])
-                         for a, b, pk in zip(ia, ib, p)))
+    """Probability-weighted Hamming objective sum(p * H(c_a, c_b))."""
     codes_arr = np.asarray(codes, dtype=np.uint64)
     diff = codes_arr[ia] ^ codes_arr[ib]
     return float(np.dot(np.asarray(p, dtype=np.float64),

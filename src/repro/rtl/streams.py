@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import store as artifact_store
-from repro.backend.core import default_engine, get_backend, resolve_engine
+from repro.backend.core import resolve_engine
 
 #: Streams below this many bits skip the artifact store entirely —
 #: repacking is cheaper than a disk round trip.
@@ -234,17 +234,10 @@ def counter_stream(width: int, length: int, start: int = 0,
 # Statistics
 # ----------------------------------------------------------------------
 # Each statistic keeps its scalar loop as the ``engine="reference"``
-# cross-check; the compiled engines ("fast" on bignum words, "numpy"
-# on uint64 lane arrays — see repro.backend) run on the cached bit
+# cross-check; the fast engine (the default) runs on the cached bit
 # planes (one popcount per lane) with bit-identical results — the
 # integer counts are equal, and the derived rates are the same
-# integers through the same final division.  ``engine=None`` takes
-# the session default (repro.backend.core.default_engine).
-
-def _resolve_stream_engine(engine: Optional[str], n: int) -> str:
-    """Engine dispatch shared by the stream statistics."""
-    return resolve_engine(engine, default_engine(), cycles=n)
-
+# integers through the same final division.
 
 def bit_activities(stream: WordStream, engine: Optional[str] = None
                    ) -> List[float]:
@@ -254,13 +247,10 @@ def bit_activities(stream: WordStream, engine: Optional[str] = None
     """
     if len(stream) < 2:
         return [0.0] * stream.width
-    engine = _resolve_stream_engine(engine, len(stream))
-    if engine in ("fast", "numpy"):
+    if resolve_engine(engine) == "fast":
         from repro.rtl import faststreams
 
-        counts = faststreams.toggle_counts(
-            stream.bit_planes(),
-            backend="numpy" if engine == "numpy" else None)
+        counts = faststreams.toggle_counts(stream.bit_planes())
     else:
         counts = _bit_toggle_counts_reference(stream)
     return [c / (len(stream) - 1) for c in counts]
@@ -286,13 +276,10 @@ def bit_probabilities(stream: WordStream, engine: Optional[str] = None
                       ) -> List[float]:
     if not len(stream):
         return [0.0] * stream.width
-    engine = _resolve_stream_engine(engine, len(stream))
-    if engine in ("fast", "numpy"):
+    if resolve_engine(engine) == "fast":
         from repro.rtl import faststreams
 
-        counts = faststreams.one_counts(
-            stream.bit_planes(),
-            backend="numpy" if engine == "numpy" else None)
+        counts = faststreams.one_counts(stream.bit_planes())
     else:
         counts = _bit_one_counts_reference(stream)
     return [c / len(stream) for c in counts]
@@ -340,26 +327,8 @@ def sign_transition_counts(stream: WordStream,
     counts = {"++": 0, "+-": 0, "-+": 0, "--": 0}
     if len(stream) < 2:
         return counts
-    engine = _resolve_stream_engine(engine, len(stream))
     n = len(stream)
-    if engine == "numpy":
-        from repro.rtl import faststreams
-
-        # Same three popcounts as the bignum path, on the cached
-        # backend lane words; ~x is ones_mask ^ x to stay masked.
-        be = get_backend("numpy")
-        lane = faststreams.backend_lanes(stream.bit_planes(),
-                                         be)[sign_bit]
-        mask = be.low_mask(n - 1, n)
-        ones = be.ones_mask(n)
-        nxt = be.shift_out_time(lane)
-        counts["--"] = be.popcount(lane & nxt & mask)
-        counts["-+"] = be.popcount(lane & (ones ^ nxt) & mask)
-        counts["+-"] = be.popcount((ones ^ lane) & nxt & mask)
-        counts["++"] = (n - 1) - counts["--"] - counts["-+"] \
-            - counts["+-"]
-        return counts
-    if engine == "fast":
+    if resolve_engine(engine) == "fast":
         from repro.util.bits import popcount
 
         # Bit t of the sign lane is the sign of word t; shifting by

@@ -29,7 +29,7 @@ A JOB is::
                                                    # or {"blif": "..."}
      "technique": "simulation" | "event-driven" | "probabilistic"
                   | "monte-carlo" | "entropy" | "learned",
-     "engine":    "fast" | "numpy" | "reference" | "auto",   # optional
+     "engine":    "fast" | "reference",  # optional; others fail the job
      "cycles":    256,            # stimulus length (simulation-backed)
      "seed":      1,              # stimulus seed
      "shards":    1,              # split across the pool, merge results

@@ -1,219 +1,31 @@
-"""The backend seam: primitive properties and cross-backend identity.
+"""Engine names and fast-vs-reference identity across the simulators.
 
-:mod:`repro.backend` promises that the same packed-word kernels run
-bit-identically on arbitrary-precision integers (bignum) and numpy
-``uint64`` lane arrays.  This file property-checks the primitive set
-itself (pack/unpack, shifts, popcounts, extract/blit at unaligned
-offsets, widths straddling the 64-bit lane boundary), the engine
-dispatch chain (``auto`` selection, ``REPRO_ENGINE``, the
-``REPRO_NO_NUMPY`` degradation), and full-engine identity across all
-three simulators.
+:mod:`repro.backend.core` validates the ``engine=`` argument every
+entry point takes: ``None``, ``"fast"`` or ``"reference"``, anything
+else an error.  The identity cases run the zero-delay and timed
+simulators on both engines and require ``==`` reports.
 """
-
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import core as backend_core
-from repro.backend.core import (
-    AUTO_NUMPY_MIN_CYCLES,
-    AUTO_NUMPY_MIN_SEQ_CYCLES,
-    BackendUnavailable,
-    auto_select,
-    available_backends,
-    default_engine,
-    get_backend,
-    numpy_available,
-    resolve_engine,
-)
-from repro.logic import fastsim, fasttimer
+from repro.backend.core import resolve_engine
+from repro.logic import fastsim
 from repro.logic.eventsim import EventSimulator
 from repro.logic.generators import counter, random_logic, shift_register
-from repro.logic.simulate import collect_activity, random_vectors
-from repro.rtl import faststreams
-from repro.util.bits import popcount
+from repro.logic.simulate import collect_activity
 
-# Widths straddle the uint64 lane boundary; offsets are deliberately
-# unaligned.
-word_widths = st.integers(min_value=1, max_value=200)
 seeds = st.integers(min_value=0, max_value=2**31)
-
-
-def backends():
-    return [get_backend(name) for name in available_backends()]
-
-
-def random_word(n, seed):
-    return random.Random(seed).getrandbits(n) if n else 0
-
-
-# ----------------------------------------------------------------------
-# Primitive properties (every available backend vs the int model)
-# ----------------------------------------------------------------------
-
-@given(word_widths, seeds)
-@settings(max_examples=60, deadline=None)
-def test_roundtrip_and_queries(n, seed):
-    x = random_word(n, seed)
-    for be in backends():
-        w = be.from_int(x, n)
-        assert be.to_int(w) == x
-        assert be.popcount(w) == popcount(x)
-        assert be.nonzero(w) == bool(x)
-        assert be.equal(w, be.from_int(x, n))
-        for t in {0, n // 2, n - 1}:
-            assert be.get_bit(w, t) == (x >> t) & 1
-        assert be.to_int(be.zeros(n)) == 0
-        assert be.to_int(be.ones_mask(n)) == (1 << n) - 1
-
-
-@given(word_widths, seeds, st.integers(0, 1))
-@settings(max_examples=60, deadline=None)
-def test_time_shifts_and_toggle_count(n, seed, carry):
-    x = random_word(n, seed)
-    mask = (1 << n) - 1
-    for be in backends():
-        w = be.from_int(x, n)
-        assert be.to_int(be.shift_in_time(w, n, carry)) \
-            == ((x << 1) | carry) & mask
-        assert be.to_int(be.shift_out_time(w)) == x >> 1
-        assert be.toggle_count(w, n, carry) \
-            == popcount((x ^ ((x << 1) | carry)) & mask)
-
-
-@given(word_widths, seeds)
-@settings(max_examples=60, deadline=None)
-def test_extract_unaligned_and_low_mask(n, seed):
-    x = random_word(n, seed)
-    rng = random.Random(seed + 1)
-    lo = rng.randrange(n)
-    c = rng.randrange(1, n - lo + 1)
-    for be in backends():
-        w = be.from_int(x, n)
-        assert be.to_int(be.extract(w, lo, c)) \
-            == (x >> lo) & ((1 << c) - 1)
-        assert be.to_int(be.low_mask(c, n)) == (1 << c) - 1
-
-
-@given(st.integers(1, 6), st.integers(1, 300), seeds)
-@settings(max_examples=40, deadline=None)
-def test_blit_reassembles_chunks(n_chunks, chunk_bits, seed):
-    """Aligned blits of masked chunks reassemble the original word."""
-    chunk = ((chunk_bits + 63) // 64) * 64   # lane-aligned chunk size
-    n = n_chunks * chunk
-    x = random_word(n, seed)
-    for be in backends():
-        dst = be.zeros(n)
-        for k in range(n_chunks):
-            src = be.from_int((x >> (k * chunk)) & ((1 << chunk) - 1),
-                              chunk)
-            dst = be.blit(dst, src, k * chunk)
-        assert be.to_int(dst) == x
-
-
-@given(st.integers(1, 8), st.integers(1, 200), seeds,
-       st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_batch_stats_matches_scalar_model(n_words, n, seed, seeded):
-    rng = random.Random(seed)
-    xs = [rng.getrandbits(n) for _ in range(n_words)]
-    carries = [rng.randint(0, 1) for _ in range(n_words)] \
-        if seeded else None
-    mask = (1 << n) - 1
-    for be in backends():
-        words = [be.from_int(x, n) for x in xs]
-        ones, toggles, last = be.batch_stats(words, n, carries)
-        for i, x in enumerate(xs):
-            carry = (x & 1) if carries is None else carries[i]
-            assert ones[i] == popcount(x)
-            assert toggles[i] == popcount((x ^ ((x << 1) | carry)) & mask)
-            assert last[i] == (x >> (n - 1)) & 1
-
-
-def test_int_zero_is_a_valid_word_for_all_backends():
-    """The compiled kernels seed unused slots with the int 0; every
-    backend must accept it alongside its own words."""
-    for be in backends():
-        w = be.from_int(0b1011, 70)
-        assert be.to_int(w & 0) == 0
-        assert be.to_int(w | 0) == 0b1011
-        assert be.to_int(w ^ 0) == 0b1011
-
-
-# ----------------------------------------------------------------------
-# Dispatch: get_backend / resolve_engine / auto / env overrides
-# ----------------------------------------------------------------------
-
-def test_get_backend_names_and_aliases():
-    assert get_backend("fast") is get_backend("bignum")
-    assert get_backend(get_backend("bignum")) is get_backend("bignum")
-    with pytest.raises(ValueError):
-        get_backend("cuda")
 
 
 def test_resolve_engine_validates_and_defaults():
     assert resolve_engine(None, "fast") == "fast"
+    assert resolve_engine(None) == "fast"
     assert resolve_engine("reference", "fast") == "reference"
-    with pytest.raises(ValueError):
-        resolve_engine("simd", "fast")
-
-
-def test_auto_select_thresholds():
-    long_comb = auto_select(cycles=AUTO_NUMPY_MIN_CYCLES)
-    short_comb = auto_select(cycles=AUTO_NUMPY_MIN_CYCLES - 1)
-    long_seq = auto_select(cycles=AUTO_NUMPY_MIN_SEQ_CYCLES,
-                           sequential=True)
-    mid_seq = auto_select(cycles=AUTO_NUMPY_MIN_CYCLES,
-                          sequential=True)
-    assert short_comb == "fast"
-    assert mid_seq == "fast"
-    assert auto_select(cycles=None) == "fast"
-    if numpy_available():
-        assert long_comb == "numpy"
-        assert long_seq == "numpy"
-    else:
-        assert long_comb == "fast"
-        assert long_seq == "fast"
-
-
-def test_default_engine_env_override(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert default_engine() == "fast"
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert default_engine() == "reference"
-    monkeypatch.setenv("REPRO_ENGINE", "bogus")
-    assert default_engine() == "fast"
-
-
-def test_no_numpy_degrades_the_whole_chain(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert not numpy_available()
-    assert backend_core.numpy_or_none() is None
-    assert available_backends() == ["bignum"]
-    with pytest.raises(BackendUnavailable):
-        get_backend("numpy")
-    assert resolve_engine("numpy", "fast") == "fast"
-    assert auto_select(cycles=1 << 22) == "fast"
-    # Public entry points keep working (and agree with the reference).
-    circuit = random_logic(4, 20, 2, seed=9)
-    vectors = random_vectors(circuit.inputs, 40, seed=2)
-    rep_numpy = collect_activity(circuit, vectors, engine="numpy")
-    rep_ref = collect_activity(circuit, vectors, engine="reference")
-    assert rep_numpy.toggles == rep_ref.toggles
-    report = fasttimer.timed_activity(circuit, vectors, engine="numpy")
-    ref = EventSimulator(circuit, engine="reference").run(vectors)
-    assert report.toggles == ref.toggles
-    assert report.glitches == ref.glitches
-
-
-# ----------------------------------------------------------------------
-# Cross-backend engine identity (all three simulators)
-# ----------------------------------------------------------------------
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable")
+    for retired in ("simd", "numpy", "auto"):
+        with pytest.raises(ValueError):
+            resolve_engine(retired, "fast")
 
 
 def assert_identical(a, b):
@@ -224,7 +36,6 @@ def assert_identical(a, b):
     assert a.clock_capacitance == b.clock_capacitance
 
 
-@requires_numpy
 @given(st.integers(2, 8), st.integers(1, 60), seeds,
        st.integers(0, 120))
 @settings(max_examples=25, deadline=None)
@@ -235,19 +46,11 @@ def test_zero_delay_engines_identical(n_inputs, n_gates, seed, n_cycles):
     ref = collect_activity(circuit, vectors, engine="reference")
     assert_identical(collect_activity(circuit, vectors, engine="fast"),
                      ref)
-    assert_identical(collect_activity(circuit, vectors, engine="numpy"),
-                     ref)
-    assert_identical(
-        fastsim.collect_activity_backend(circuit, vectors,
-                                         backend="bignum"), ref)
-    assert_identical(
-        fastsim.collect_activity_backend(circuit, vectors,
-                                         backend="numpy"), ref)
+    assert_identical(fastsim.collect_activity(circuit, vectors), ref)
 
 
-@requires_numpy
 @pytest.mark.parametrize("make,width,cycles", [
-    (counter, 5, 300),           # tight feedback (dispatch falls back)
+    (counter, 5, 300),           # tight feedback
     (shift_register, 7, 300),    # feed-forward latch chain
 ])
 def test_sequential_engines_identical(make, width, cycles):
@@ -257,63 +60,9 @@ def test_sequential_engines_identical(make, width, cycles):
     ref = collect_activity(circuit, vectors, engine="reference")
     assert_identical(collect_activity(circuit, vectors, engine="fast"),
                      ref)
-    assert_identical(collect_activity(circuit, vectors, engine="numpy"),
-                     ref)
     timed_ref = EventSimulator(circuit, engine="reference").run(vectors)
-    for engine in ("fast", "numpy"):
-        timed = EventSimulator(circuit, engine=engine).run(vectors)
-        assert_identical(timed, timed_ref)
-        assert timed.events == timed_ref.events
-        assert timed.glitches == timed_ref.glitches
+    timed = EventSimulator(circuit, engine="fast").run(vectors)
+    assert_identical(timed, timed_ref)
+    assert timed.events == timed_ref.events
+    assert timed.glitches == timed_ref.glitches
 
-
-@requires_numpy
-def test_tight_feedback_settle_bail():
-    """Lane backends decline tight-feedback settles; the dispatcher
-    falls back to bignum and stays bit-identical."""
-    circuit = counter(6)
-    vectors = fastsim.random_packed_vectors(
-        list(circuit.inputs), 4000, seed=3)
-    with pytest.raises(BackendUnavailable):
-        fastsim.collect_activity_backend(circuit, vectors,
-                                         backend="numpy")
-    assert_identical(collect_activity(circuit, vectors, engine="numpy"),
-                     collect_activity(circuit, vectors, engine="fast"))
-    # The timed engine degrades inside timed_batch instead of raising.
-    timed = fasttimer.timed_activity(circuit, vectors, engine="numpy")
-    assert_identical(timed,
-                     fasttimer.timed_activity(circuit, vectors,
-                                              engine="fast"))
-
-
-@requires_numpy
-def test_sharded_numpy_matches_serial():
-    circuit = shift_register(6)
-    vectors = fastsim.random_packed_vectors(
-        list(circuit.inputs), 2048, seed=5)
-    serial = EventSimulator(circuit, engine="numpy").run(vectors)
-    for engine in ("fast", "numpy"):
-        sharded = fasttimer.timed_activity(circuit, vectors, workers=2,
-                                           engine=engine)
-        assert_identical(sharded, serial)
-        assert sharded.events == serial.events
-        assert sharded.glitches == serial.glitches
-
-
-@requires_numpy
-@given(st.integers(1, 66), st.integers(0, 100), seeds)
-@settings(max_examples=30, deadline=None)
-def test_stream_kernels_identical(width, length, seed):
-    rng = random.Random(seed)
-    words = [rng.randrange(1 << width) for _ in range(length)]
-    planes = faststreams.pack_planes(words, width)
-    assert faststreams.one_counts(planes, backend="numpy") \
-        == faststreams.one_counts(planes)
-    assert faststreams.toggle_counts(planes, backend="numpy") \
-        == faststreams.toggle_counts(planes)
-    assert faststreams.transition_count(words, width, backend="numpy") \
-        == faststreams.transition_count(words, width)
-    other = [rng.randrange(1 << width) for _ in range(length)]
-    assert faststreams.cross_hamming(words, other, width,
-                                     backend="numpy") \
-        == faststreams.cross_hamming(words, other, width)

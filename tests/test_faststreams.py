@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fsm import encoding as fsm_encoding
@@ -157,9 +157,7 @@ def test_pack_streams_uses_cached_planes():
 def test_correlation_matrix_matches_numpy(width, length, seed):
     words = make_words(width, length, seed)
     planes = faststreams.pack_planes(words, width)
-    # The no-numpy fallback returns nested lists; normalize for the
-    # fancy-indexed comparisons below.
-    corr = np.asarray(faststreams.correlation_matrix(planes))
+    corr = faststreams.correlation_matrix(planes)
     bits = np.array([[(w >> i) & 1 for i in range(width)]
                      for w in words], dtype=float)
     std = bits.std(axis=0)
@@ -187,9 +185,7 @@ def test_weighted_hamming_and_lane_probs(n_bits, n_pairs, seed):
     ref = sum(w * hamming(codes[i], codes[j])
               for i, j, w in zip(ia, ib, p))
     assert math.isclose(fast, ref, rel_tol=1e-9, abs_tol=1e-12)
-    # The no-numpy fallback returns a plain list; normalize.
-    lanes = np.asarray(
-        faststreams.lane_transition_probs(codes, ia, ib, p, n_bits))
+    lanes = faststreams.lane_transition_probs(codes, ia, ib, p, n_bits)
     assert math.isclose(float(lanes.sum()), ref, rel_tol=1e-9,
                         abs_tol=1e-12)
 
@@ -218,12 +214,6 @@ def _pure_python_lanes(words, width):
     return lanes
 
 
-requires_seam_numpy = pytest.mark.skipif(
-    faststreams.numpy_or_none() is None,
-    reason="numpy stubbed out (REPRO_NO_NUMPY)")
-
-
-@requires_seam_numpy
 @given(st.integers(min_value=1, max_value=64), lengths, seeds)
 @settings(max_examples=40, deadline=None)
 def test_pack_planes_numpy_matches_pure_python(width, length, seed):
@@ -233,7 +223,6 @@ def test_pack_planes_numpy_matches_pure_python(width, length, seed):
     assert planes.lanes == _pure_python_lanes(words, width)
 
 
-@requires_seam_numpy
 @pytest.mark.parametrize("width,length", [
     (1, 0),    # narrowest stream, empty
     (1, 5),    # single lane
@@ -245,15 +234,6 @@ def test_pack_planes_numpy_edges(width, length):
     planes = faststreams._pack_planes_numpy(words, width)
     assert planes.n == length and planes.width == width
     assert planes.lanes == _pure_python_lanes(words, width)
-
-
-def test_pack_planes_dispatch_agrees_without_numpy(monkeypatch):
-    words = make_words(17, 33, seed=5)
-    with_np = faststreams.pack_planes(words, 17)
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    without = faststreams.pack_planes(words, 17)
-    assert without.lanes == with_np.lanes
-    assert without.n == with_np.n and without.width == with_np.width
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +348,10 @@ def test_encoding_costs_match_reference(seed):
 
 
 @given(seeds)
+@example(seed=77)
+@example(seed=227)
+@example(seed=246)
+@example(seed=434)
 @settings(max_examples=8, deadline=None)
 def test_low_power_encoding_engines_agree(seed):
     stg = _random_stg(seed)
@@ -394,7 +378,6 @@ def test_low_power_encoding_engines_agree(seed):
         assert cost <= greedy_cost + 1e-9
 
 
-@requires_seam_numpy
 @given(seeds)
 @settings(max_examples=10, deadline=None)
 def test_anneal_deltas_match_reference(seed):
@@ -411,7 +394,6 @@ def test_anneal_deltas_match_reference(seed):
     states = list(stg.states)
     codes = dict(enc.codes)
     vectors = fsm_encoding._WeightVectors(states, weight)
-    np = faststreams.numpy_or_none()
     codes_arr = np.array([codes[s] for s in states], dtype=np.uint64)
     free = sorted(set(range(1 << enc.n_bits)) - set(codes.values()))
     rng = random.Random(seed)

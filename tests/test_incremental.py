@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import store as artifact_store
-from repro.backend.core import numpy_available
 from repro.logic import incremental as inc
 from repro.logic.fastsim import (
     PackedVectors,
@@ -27,9 +26,6 @@ from repro.logic.fastsim import (
 from repro.logic.generators import counter, random_logic
 from repro.logic.netlist import Circuit
 from repro.logic.simulate import collect_activity, random_vectors
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable")
 
 GATE_TYPES = ["AND2", "OR2", "XOR2", "NAND2", "NOR2", "XNOR2"]
 
@@ -103,16 +99,6 @@ class TestDeltaBitIdentity:
         variant = edit_gates(base, [seed], random.Random(seed))
         assert_delta_equals_full(base, variant, vectors,
                                  engine="reference")
-
-    @requires_numpy
-    @settings(deadline=None, max_examples=10)
-    @given(n_gates=st.integers(10, 60), seed=st.integers(0, 5))
-    def test_engine_numpy(self, n_gates, seed):
-        base = random_logic(5, n_gates, 2, seed=seed)
-        vectors = random_packed_vectors(list(base.inputs), 200,
-                                        seed=seed)
-        variant = edit_gates(base, [seed], random.Random(seed))
-        assert_delta_equals_full(base, variant, vectors, engine="numpy")
 
     def test_initial_state_falls_back(self):
         """Explicit latch initial state bypasses the cone cache."""

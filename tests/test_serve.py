@@ -167,7 +167,9 @@ class TestEstimation:
                 {"circuit": {"generator": "counter",
                              "params": {"width": 4}},
                  "technique": "nonsense", "id": "bad-technique"},
-                {"circuit": {}, "id": "empty"}]
+                {"circuit": {}, "id": "empty"},
+                _job("ripple_carry_adder", {"width": 4}, cycles=32,
+                     seed=1, engine="numpy", id="retired-engine")]
         out = client.estimate(jobs)
         by_id = {r["id"]: r for r in out["results"]}
         assert by_id["good"]["ok"] is True
@@ -175,8 +177,10 @@ class TestEstimation:
         assert "unknown generator" in by_id["evil"]["error"]
         assert by_id["bad-technique"]["ok"] is False
         assert by_id["empty"]["ok"] is False
+        assert by_id["retired-engine"]["ok"] is False
+        assert "unknown engine" in by_id["retired-engine"]["error"]
         assert out["summary"]["ok"] == 1
-        assert out["summary"]["failed"] == 3
+        assert out["summary"]["failed"] == 4
 
     def test_repeat_batch_hits_store(self, client):
         jobs = [_job("ripple_carry_adder", {"width": 12},

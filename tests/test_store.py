@@ -343,6 +343,25 @@ class TestRehydration:
         assert warm.toggles == cold.toggles
         assert warm.events == cold.events
         assert warm.glitches == cold.glitches
+        # Payloads written before the lane backend was removed carry
+        # a second, lane-generic kernel; disk stores outlive upgrades,
+        # so such an entry must still rehydrate, not force a recompile.
+        fp = a.fingerprint()
+        payload = dict(mem_store.get(fp, fasttimer.STORE_KIND))
+        source = "def __fasttimer_eval_be(C, N, T, M, ANY, PC):\n" \
+                 "    return 0\n"
+        payload["kernel_be"] = artifact_store.code_blob(
+            source, "<fasttimer-be>",
+            compile(source, "<fasttimer-be>", "exec"))
+        mem_store.put(fp, fasttimer.STORE_KIND, payload)
+        c = ripple_carry_adder(6)
+        assert fasttimer._rehydrate_timed(c, 0, payload) is not None
+        puts = mem_store.stats()["puts"]
+        older = fasttimer.timed_activity(c, vectors)
+        assert mem_store.stats()["puts"] == puts     # nothing recompiled
+        assert older.toggles == cold.toggles
+        assert older.events == cold.events
+        assert older.glitches == cold.glitches
 
     def test_fasttimer_sharded_warm(self, disk_store):
         a = counter(6)
