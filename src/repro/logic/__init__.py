@@ -13,7 +13,7 @@ capacitance; here that reference is provided by
   vector batches,
 - :mod:`repro.logic.eventsim`  -- event-driven timing simulation that
   captures glitching (needed by the retiming study, Section III-J),
-- :mod:`repro.logic.fasttimer` -- compiled tick-wheel timed engine,
+- :mod:`repro.logic.fasttimer` -- table-driven tick-wheel timed engine,
   bit-parallel waveforms per (net, tick), exactly equivalent to the
   event-driven reference,
 - :mod:`repro.logic.synthesis` -- SOP covers to gate netlists,

@@ -44,7 +44,7 @@ Two engines back :meth:`EventSimulator.run`:
 
 - the *reference* engine in this module: one event at a time through
   per-gate dict traffic — simple and obviously correct,
-- the *fast* engine in :mod:`repro.logic.fasttimer`: a compiled
+- the *fast* engine in :mod:`repro.logic.fasttimer`: a table-driven
   tick-wheel evaluator that packs N cycles bit-parallel per
   (net, tick) and counts with popcounts.
 
@@ -157,7 +157,7 @@ class EventSimulator:
     """Cycle-based event-driven simulator for a circuit.
 
     ``engine`` selects the implementation backing :meth:`run`:
-    ``"fast"`` (compiled tick-wheel on bignum words; the default) or
+    ``"fast"`` (table-driven tick wheel on bignum words; the default) or
     ``"reference"`` (scalar, event at a time).  Both produce
     bit-identical counters; the fast engine falls back to the
     reference when the circuit cannot be compiled.  :meth:`step`
@@ -260,7 +260,7 @@ class EventSimulator:
             self.step(vec)
 
     def _run_fast(self, vectors: Stimulus) -> None:
-        """Run a whole batch through the compiled tick-wheel engine."""
+        """Run a whole batch through the table-driven tick-wheel engine."""
         from repro.logic import fasttimer
 
         counts = fasttimer.timed_batch(

@@ -80,6 +80,15 @@ class PackedVectors:
         return [{name: (self.words[name] >> i) & 1 for name in self.names}
                 for i in range(self.n)]
 
+    def slice(self, lo: int, hi: int) -> "PackedVectors":
+        """Cycles ``lo .. hi-1`` (clamped to the batch) as a new batch."""
+        hi = max(0, min(hi, self.n))
+        lo = max(0, min(lo, hi))
+        m = (1 << (hi - lo)) - 1
+        return PackedVectors(
+            list(self.names), hi - lo,
+            {name: (w >> lo) & m for name, w in self.words.items()})
+
     @classmethod
     def from_vectors(cls, names: Sequence[str],
                      vectors: Sequence[Vector]) -> "PackedVectors":

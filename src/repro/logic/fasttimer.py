@@ -1,9 +1,8 @@
-"""Compiled tick-wheel timed simulation (the fast timed engine).
+"""Table-driven tick-wheel timed simulation (the fast timed engine).
 
 :class:`~repro.logic.eventsim.EventSimulator`'s reference engine pops
-one event at a time through per-gate dict traffic — the last
-unaccelerated layer after fastsim's zero-delay engine.  This module
-compiles the *whole timed schedule* ahead of time and then evaluates
+one event at a time through per-gate dict traffic.  This module
+schedules the *whole timed evolution* ahead of time and then evaluates
 N cycles bit-parallel, one bignum word per (net, tick):
 
 - :func:`compile_timed` discretizes the cell library's transport
@@ -11,9 +10,21 @@ N cycles bit-parallel, one bignum word per (net, tick):
   :func:`repro.logic.eventsim.tick_grid` and levelizes the circuit
   into a *static* per-tick schedule: a gate is (re)evaluated at every
   tick at which any of its fan-in nets can change, and its output is
-  applied ``delay_ticks`` later.  The schedule is lowered to one
-  ``exec``-compiled straight-line function — a timing wheel whose
-  slots are inlined apply/evaluate kernels on packed words.
+  applied ``delay_ticks`` later.
+- The schedule is lowered to a *plan table*, plain data: per tick, the
+  slots applied and the pending word each one reads, the zero-delay
+  gates (topological order, applied inline) and the delayed gates
+  grouped by cell type as rows of ``[input slots..., pending index]``.
+  One fixed interpreter walks the table; each cell type gets one group
+  evaluator, generated once per process from fastsim's packed-word
+  expression and cached by its source text.  No per-design code is
+  generated, so a never-seen design costs a table build, not a
+  ``compile()`` of a straight-line kernel.
+- The table is also the artifact-store payload (JSON, no code), so
+  shard workers and server workers rehydrate data: every index and
+  cell type is validated before binding, and a payload that fails
+  (including one holding a compiled kernel from an older version) is
+  a counted miss followed by a rebuild.
 - The key observation that makes lanes independent: the *settled*
   value of every net in a cycle is delay-free (equal to the
   zero-delay evaluation), so fastsim's packed functional simulation
@@ -41,24 +52,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro import store as artifact_store
 from repro.backend.core import resolve_engine
-from repro.logic import fastsim
+from repro.logic import fastsim, gates as gatelib
 from repro.logic.fastsim import CompileError, PackedVectors, Stimulus
 from repro.logic.netlist import Circuit
 
-#: Straight-line kernel size cap: total scheduled applies+evaluations.
-#: Past this the generated function stops being worth exec-compiling;
-#: the dispatcher falls back to the reference engine.
+#: Schedule size cap: total scheduled applies+evaluations.  It bounds
+#: the plan table (one entry per operation) and the pending words one
+#: kernel call holds (at most one per delayed evaluation, each as wide
+#: as the batch); past it the dispatcher falls back to the reference
+#: engine.
 _MAX_OPS = 60_000
 
 
 @dataclass
 class TimedPlan:
-    """Compiled tick-wheel schedule for one circuit.
+    """Tick-wheel schedule for one circuit, bound to the interpreter.
 
     ``kernel(C, N, T, M)`` advances one packed window: ``C`` holds the
     per-slot start-value words (cycle-start state of every lane), ``N``
@@ -74,7 +88,7 @@ class TimedPlan:
     func: fastsim.CompiledCircuit     # zero-delay plan (slots, caps...)
     quantum: object                   # Fraction; tick length in delay units
     n_ticks: int                      # schedule horizon (last apply tick)
-    n_ops: int                        # applies + evaluations in the kernel
+    n_ops: int                        # applies + evaluations in the table
     kernel: Callable[[List[int], List[int], List[int], int], int]
 
 
@@ -82,16 +96,184 @@ class TimedPlan:
 STORE_KIND = "fasttimer"
 
 
+# ----------------------------------------------------------------------
+# Plan table: build, bind, interpret
+# ----------------------------------------------------------------------
+#: Group evaluators, keyed by their generated source text rather than
+#: by cell name, so a cell name registered again with another function
+#: never runs the stale expression.
+_EVALUATORS: Dict[str, Callable] = {}
+
+
+def _group_evaluator(gate_type: str) -> Tuple[int, Callable]:
+    """``(arity, fn)`` for ``gate_type``'s group evaluator.
+
+    ``fn(C, P, rows, M)`` evaluates the cell on packed words for every
+    row ``[in_0, ..., in_{k-1}, p]``: it reads ``C[in_j]`` and writes
+    ``P[p]``.  Raises ``KeyError`` for an unknown cell and
+    :class:`CompileError` when the cell cannot be lowered.
+    """
+    spec = gatelib.gate_spec(gate_type)
+    names = [f"i{j}" for j in range(spec.n_inputs)]
+    expr = fastsim._expression(spec, [f"C[{n}]" for n in names])
+    source = (f"def _group(C, P, rows, M):\n"
+              f"    for {', '.join(names + ['p'])}, in rows:\n"
+              f"        P[p] = {expr}\n")
+    fn = _EVALUATORS.get(source)
+    if fn is None:
+        namespace: Dict[str, object] = {}
+        exec(compile(source, f"<fasttimer:{gate_type}>", "exec"),
+             namespace)
+        fn = _EVALUATORS[source] = namespace["_group"]  # type: ignore
+    return spec.n_inputs, fn
+
+
+def _plan_table(schedule: Dict[int, Tuple[List[int], List]],
+                slot: Dict[str, int], delays: Dict[str, int]
+                ) -> Tuple[list, int]:
+    """Lower the tick schedule to ``(table, n_pending)``.
+
+    One table entry per scheduled tick, ``[tick, applies, zero,
+    groups]``:
+
+    - ``applies``: ``[slot, k]`` pairs applied simultaneously; ``k``
+      indexes the settled words ``N`` at tick 0 and the pending words
+      ``P`` at every later tick;
+    - ``zero``: zero-delay gates in topological order, each
+      ``[type, [in..., k], slot]``: evaluated into ``P[k]`` and applied
+      at once, so later gates in the tick see the new value;
+    - ``groups``: the delayed gates, ``[type, rows]`` with rows
+      ``[in..., k]``.  They read ``C`` and write ``P`` only, so the
+      order inside a group does not matter and running them after the
+      zero-delay gates changes nothing.
+
+    Pending indices are recycled once their word has been applied, so
+    ``n_pending`` is the peak number of words in flight.
+    """
+    table = []
+    pending: Dict[Tuple[int, int], int] = {}   # (slot, apply tick) -> k
+    free: List[int] = []
+    n_pending = 0
+
+    def take() -> int:
+        nonlocal n_pending
+        if free:
+            return free.pop()
+        n_pending += 1
+        return n_pending - 1
+
+    for tick in sorted(schedule):
+        slots, evals = schedule[tick]
+        if tick == 0:
+            applies = [[s, s] for s in slots]
+        else:
+            applies = [[s, pending.pop((s, tick))] for s in slots]
+            free.extend(k for _, k in applies)
+        zero: list = []
+        groups: Dict[str, list] = {}
+        for gate in evals:
+            s = slot[gate.output]
+            d = delays[gate.output]
+            k = take()
+            row = [slot[n] for n in gate.inputs] + [k]
+            if d == 0:
+                zero.append([gate.gate_type, row, s])
+                free.append(k)
+                continue
+            if (s, tick + d) in pending:
+                raise CompileError(
+                    f"duplicate writer for net slot {s} at tick "
+                    f"{tick + d}")
+            pending[(s, tick + d)] = k
+            groups.setdefault(gate.gate_type, []).append(row)
+        table.append([tick, applies, zero,
+                      [[t, rows] for t, rows in groups.items()]])
+    return table, n_pending
+
+
+def _check_indices(values: List[int], limit: int) -> None:
+    if values and (set(map(type, values)) != {int}
+                   or not 0 <= min(values) <= max(values) < limit):
+        raise ValueError(f"plan index outside [0, {limit})")
+
+
+def _bind_table(table: list, n_slots: int, n_pending: int) -> Callable:
+    """Validate ``table`` and bind it to the interpreter as a kernel.
+
+    Every slot index must be below ``n_slots``, every pending index
+    below ``n_pending``, and every cell type must resolve with a
+    matching row arity; anything else raises (a store rehydrate turns
+    that into a miss), so a bound kernel never indexes out of range.
+    Zero-delay gates split their tick into steps: a step applies, then
+    evaluates, and each zero-delay gate's apply opens the next step.
+    """
+    if type(n_pending) is not int or not 0 <= n_pending <= _MAX_OPS:
+        raise ValueError(f"bad pending count {n_pending!r}")
+    evaluators: Dict[str, Tuple[int, Callable]] = {}
+    slots: List[int] = []          # indices into C and T (N at tick 0)
+    pends: List[int] = []          # indices into P
+
+    def group(gate_type: str, rows: list) -> Tuple[Callable, list]:
+        if gate_type not in evaluators:
+            evaluators[gate_type] = _group_evaluator(gate_type)
+        arity, fn = evaluators[gate_type]
+        for row in rows:
+            if len(row) != arity + 1:
+                raise ValueError(f"{gate_type} row {row!r}: bad arity")
+            slots.extend(row[:-1])
+            pends.append(row[-1])
+        return fn, rows
+
+    steps = []
+    for tick, applies, zero, groups in table:
+        reads_n = tick == 0
+        for s, k in applies:
+            slots.append(s)
+            (slots if reads_n else pends).append(k)
+        for gate_type, row, s in zero:
+            steps.append((reads_n, applies, [group(gate_type, [row])]))
+            slots.append(s)
+            reads_n, applies = False, [[s, row[-1]]]
+        steps.append((reads_n, applies,
+                      [group(gate_type, rows) for gate_type, rows in groups]))
+    _check_indices(slots, n_slots)
+    _check_indices(pends, n_pending)
+    return partial(_interpret, steps, n_pending)
+
+
+def _interpret(steps: list, n_pending: int, C: List[int], N: List[int],
+               T: List[int], M: int) -> int:
+    """The tick-wheel kernel: walk the bound plan table once."""
+    P = [0] * n_pending
+    EV = 0
+    for reads_n, applies, groups in steps:
+        # Phase 1: apply every value arriving at this step at once;
+        # count the lanes in which it changes.
+        src = N if reads_n else P
+        for s, k in applies:
+            v = src[k]
+            d = C[s] ^ v
+            if d:
+                t = d.bit_count()
+                T[s] += t
+                EV += t
+                C[s] = v
+        # Phase 2: evaluate the affected gates against the updated
+        # values.
+        for fn, rows in groups:
+            fn(C, P, rows, M)
+    return EV
+
+
 def _rehydrate_timed(circuit: Circuit, version: int,
                      payload: Dict[str, object]) -> Optional[TimedPlan]:
     """Rebuild a tick-wheel plan from a store payload, or ``None``.
 
-    The kernels index slots positionally, so the payload's slot
-    layout must match the functional plan bound to this circuit (it
-    always does when both artifacts came from the same compile; a
-    mismatch is treated as a miss and triggers a clean recompile).
-    Payloads may carry entries this version no longer reads (older
-    ones hold a second, lane-generic kernel); they are ignored.
+    The table indexes slots positionally, so the payload's slot layout
+    must match the functional plan bound to this circuit (it always
+    does when both artifacts came from the same compile).  A mismatch,
+    a table that fails validation, or a payload without a table (older
+    versions stored a compiled kernel instead) is a miss.
     """
     try:
         func = fastsim.compile_circuit(circuit)
@@ -100,8 +282,8 @@ def _rehydrate_timed(circuit: Circuit, version: int,
     if payload.get("nets") != func.nets:
         return None
     try:
-        kernel = artifact_store.load_function(
-            payload["kernel"], "__fasttimer_eval")
+        kernel = _bind_table(payload["table"], func.n_slots,
+                             payload["n_pending"])
         num, den = payload["quantum"]
         return TimedPlan(
             circuit=circuit,
@@ -112,7 +294,8 @@ def _rehydrate_timed(circuit: Circuit, version: int,
             n_ops=int(payload["n_ops"]),
             kernel=kernel,
         )
-    except Exception:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            CompileError):
         return None
 
 
@@ -121,7 +304,7 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
 
     Cached like the zero-delay plan: on the circuit object, then in
     the content-addressed plan store (fingerprint-keyed, process-
-    crossing with ``REPRO_STORE``), then compiled fresh and published
+    crossing with ``REPRO_STORE``), then built fresh and published
     back.
     """
     from repro.logic import eventsim
@@ -141,6 +324,7 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
             obs.inc("fasttimer.rehydrates")
             circuit._fasttimer_plan = plan
             return plan
+        obs.inc("fasttimer.rehydrate_misses")
 
     with obs.span("fasttimer.compile", circuit=circuit.name) as sp:
         func = fastsim.compile_circuit(circuit)    # raises CompileError
@@ -189,52 +373,13 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
                 if d:
                     at(t + d)[0].append(slot[gate.output])
 
-        lines = ["def __fasttimer_eval(C, N, T, M):", "    EV = 0"]
-
-        def emit_apply(s: int, src: str) -> None:
-            lines.extend([f"    _v = {src}",
-                          f"    _d = C[{s}] ^ _v",
-                          "    if _d:",
-                          "        _t = _d.bit_count()",
-                          f"        T[{s}] += _t",
-                          "        EV += _t",
-                          f"        C[{s}] = _v"])
-
-        emitted_pending = set()
-        for tick in sorted(schedule):
-            applies, evals = schedule[tick]
-            # Phase 1: apply every value arriving at this tick
-            # simultaneously; count the lanes in which it changes.
-            for s in applies:
-                emit_apply(s, f"N[{s}]" if tick == 0 else f"p{s}_{tick}")
-            # Phase 2: evaluate affected gates once against the
-            # updated values, topological order; zero-delay cells
-            # apply inline so later gates in the tick see them.
-            for gate in evals:
-                s = slot[gate.output]
-                expr = fastsim._expression(
-                    gate.spec, [f"C[{slot[n]}]" for n in gate.inputs])
-                d = grid.ticks[gate.output]
-                if d == 0:
-                    emit_apply(s, expr)
-                else:
-                    name = f"p{s}_{tick + d}"
-                    if name in emitted_pending:
-                        raise CompileError(
-                            f"duplicate writer for net slot {s} at tick "
-                            f"{tick + d}")
-                    emitted_pending.add(name)
-                    lines.append(f"    {name} = {expr}")
-        lines.append("    return EV")
-        namespace: Dict[str, object] = {}
-        source = "\n".join(lines)
-        code = compile(source, f"<fasttimer:{circuit.name}>", "exec")
-        exec(code, namespace)
-
+        table, n_pending = _plan_table(schedule, slot, grid.ticks)
+        kernel = _bind_table(table, func.n_slots, n_pending)
         n_ticks = max(schedule) if schedule else 0
         sp.set("gates", circuit.gate_count())
         sp.set("ticks", n_ticks)
         sp.set("ops", n_ops)
+        sp.set("pending", n_pending)
         obs.inc("fasttimer.compiles")
 
     plan = TimedPlan(
@@ -244,7 +389,7 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
         quantum=grid.quantum,
         n_ticks=n_ticks,
         n_ops=n_ops,
-        kernel=namespace["__fasttimer_eval"],  # type: ignore[arg-type]
+        kernel=kernel,
     )
     quantum = Fraction(grid.quantum)
     st.put(fp, STORE_KIND, {
@@ -252,12 +397,11 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
         "quantum": [quantum.numerator, quantum.denominator],
         "n_ticks": n_ticks,
         "n_ops": n_ops,
-        "kernel": artifact_store.code_blob(
-            source, f"<fasttimer:{fp[:12]}>", code),
+        "n_pending": n_pending,
+        "table": table,
     })
     circuit._fasttimer_plan = plan
     return plan
-
 
 # ----------------------------------------------------------------------
 # Batch evaluation
@@ -413,13 +557,6 @@ def timed_batch(circuit: Circuit, vectors: Stimulus,
 _MIN_SHARD = 256
 
 
-def _shard_slice(packed: PackedVectors, lo: int, hi: int) -> PackedVectors:
-    m = (1 << (hi - lo)) - 1
-    return PackedVectors(
-        packed.names, hi - lo,
-        {name: (w >> lo) & m for name, w in packed.words.items()})
-
-
 def _timed_batch_star(args) -> BatchCounts:
     """Module-level worker target (must be picklable)."""
     return timed_batch(*args)
@@ -438,7 +575,6 @@ def timed_activity(circuit: Circuit, vectors: Stimulus,
     functional settle, partial counts merge by summation, and the
     result is bit-identical to the serial run.
     """
-    from repro.logic import gates as gatelib
     from repro.logic.eventsim import EventSimulator
     from repro.logic.simulate import ActivityReport, evaluate
 
@@ -495,7 +631,7 @@ def timed_activity(circuit: Circuit, vectors: Stimulus,
                     else:
                         st[latch.output] = (settled[lp.data_slot]
                                             >> (lo - 1)) & 1
-            jobs.append((circuit, _shard_slice(vectors, lo, hi),
+            jobs.append((circuit, vectors.slice(lo, hi),
                          prev, st, lo == 0))
 
         import concurrent.futures

@@ -48,11 +48,13 @@ __all__ = ["discover_benches", "run_bench", "run_sweep",
            "gate_regressions", "main", "SMOKE_BENCHES"]
 
 #: Quick, deterministic subset exercised by ``--smoke`` (CI) runs:
-#: one estimation bench, one optimization bench, and the perf
-#: benches (the regression-gate inputs).
+#: one estimation bench, two optimization benches (Fig. 3 shutdown and
+#: the Section III-J retiming claim, the timed engine's main consumer),
+#: and the perf benches (the regression-gate inputs).
 SMOKE_BENCHES = [
     "bench_c2_entropy.py",
     "bench_fig3_shutdown.py",
+    "bench_fig9_retiming.py",
     "bench_perf_fastsim.py",
     "bench_perf_bdd.py",
     "bench_perf_eventsim.py",

@@ -243,7 +243,7 @@ def evaluate_guarded(circuit: Circuit, vectors: Sequence[Vector],
 
     from repro.logic.fastsim import PackedVectors
 
-    walk = vectors.to_vectors()[:50] \
+    walk = vectors.slice(0, 50).to_vectors() \
         if isinstance(vectors, PackedVectors) else vectors[:50]
     equivalent = True
     state = {l.output: l.init for l in guarded.latches}

@@ -1,10 +1,10 @@
 """repro.store — content-addressed compiled-artifact cache.
 
 Every compiled artifact in the framework — fastsim's bit-parallel
-plans, fasttimer's tick-wheel kernels, eventsim's tick grids, the
+plans, fasttimer's tick-wheel plan tables, eventsim's tick grids, the
 word-stream bit-plane packings — used to live only on the Python
 object that produced it.  The caches died at every process boundary:
-``Circuit.__getstate__`` drops compiled plans (they hold ``exec``-made
+``Circuit.__getstate__`` drops compiled plans (they hold bound
 functions), so fasttimer's sharded workers, every bench subprocess,
 and every estimation-server worker recompiled identical plans from
 scratch.  This module is the fix: a content-addressed store keyed by
@@ -24,12 +24,15 @@ Two layers, consulted in order:
   (``REPRO_STORE_MAX_BYTES``).  Reads touch the file's mtime, so hot
   artifacts survive eviction.
 
-Compiled code travels as *both* the generated source text and a
-``marshal`` dump of the compiled code object tagged with the
-interpreter's bytecode magic: a matching interpreter skips the
-(expensive) ``compile`` step entirely, any other interpreter falls
-back to recompiling the source, and an unknown schema version is a
-plain miss — cross-version poisoning is structurally impossible.
+Payloads are JSON-able dicts.  Most are plain data (fasttimer's plan
+tables, which the engine validates before binding, tick grids,
+activity counts); generated code (fastsim's kernels) travels as
+*both* the source text and a ``marshal`` dump of the compiled code
+object tagged with the interpreter's bytecode magic: a matching
+interpreter skips the (expensive) ``compile`` step entirely, any other
+interpreter falls back to recompiling the source, and an unknown
+schema version is a plain miss — cross-version poisoning is
+structurally impossible.
 
 The store is *advisory everywhere*: a miss, a corrupt file, or an
 unwritable directory degrades to recompilation, never to an error.

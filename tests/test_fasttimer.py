@@ -16,6 +16,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import store as artifact_store
 from repro.logic import fasttimer, gates as gatelib
 from repro.logic.eventsim import EventSimulator, tick_grid
 from repro.logic.fastsim import random_packed_vectors
@@ -137,6 +138,63 @@ class TestEngineEquivalence:
             assert_timed_identical(fast, ref)
         finally:
             del gatelib.LIBRARY["ZAND2_T"]
+
+    def test_five_input_runtime_cell_matches_reference(self):
+        """A 5-input cell registered at run time, with a real delay: it
+        is lowered through its truth table and runs as a delayed group."""
+        def maj5(v):
+            return int(sum(v) >= 3)
+
+        gatelib.LIBRARY["MAJ5_T"] = gatelib.GateSpec(
+            "MAJ5_T", 5, maj5, 1.5, 0.9, 3.2, 3.0)
+        try:
+            circuit = Circuit("maj5")
+            ins = circuit.add_inputs([f"x{i}" for i in range(6)])
+            m = circuit.add_gate("MAJ5_T", ins[:5])
+            y = circuit.add_gate("XOR2", [m, ins[5]])
+            n = circuit.add_gate("MAJ5_T", [y, ins[0], m, ins[2], ins[4]])
+            circuit.add_output(circuit.add_gate("NAND2", [n, y]))
+            vectors = random_vectors(circuit.inputs, 60, seed=8)
+            fast, ref = both_engines(circuit, vectors)
+            assert_timed_identical(fast, ref)
+            assert fast.glitches > 0
+            table = artifact_store.get_store().get(
+                circuit.fingerprint(), fasttimer.STORE_KIND)["table"]
+            assert any(gate_type == "MAJ5_T"
+                       for tick in table for gate_type, _ in tick[3])
+        finally:
+            del gatelib.LIBRARY["MAJ5_T"]
+
+    def test_reregistered_cell_name_matches_reference(self):
+        """One cell name, registered twice with different functions and
+        delays: the second circuit must not run the first function."""
+        def and_not(v):
+            return int(v[0] and not v[1])
+
+        def xnor(v):
+            return int(v[0] == v[1])
+
+        def build():
+            circuit = Circuit("rereg")
+            a, b, c = circuit.add_inputs(["a", "b", "c"])
+            x = circuit.add_gate("REREG_T", [a, b])
+            y = circuit.add_gate("REREG_T", [x, c])
+            circuit.add_output(circuit.add_gate("OR2", [y, a]))
+            return circuit
+
+        try:
+            fingerprints = set()
+            for fn, delay in ((and_not, 1.4), (xnor, 3.0)):
+                gatelib.LIBRARY["REREG_T"] = gatelib.GateSpec(
+                    "REREG_T", 2, fn, 1.2, 0.7, delay, 1.2)
+                circuit = build()
+                fingerprints.add(circuit.fingerprint())
+                vectors = random_vectors(circuit.inputs, 60, seed=12)
+                fast, ref = both_engines(circuit, vectors)
+                assert_timed_identical(fast, ref)
+            assert len(fingerprints) == 2
+        finally:
+            del gatelib.LIBRARY["REREG_T"]
 
     def test_multi_run_accumulation_matches_one_run(self):
         circuit = random_latched_circuit(5, 40, 4, seed=3)

@@ -22,6 +22,7 @@ import sys
 
 import pytest
 
+from repro import obs
 from repro import store as artifact_store
 from repro.logic import eventsim, fastsim, fasttimer
 from repro.logic.generators import counter, parity_tree, \
@@ -339,29 +340,69 @@ class TestRehydration:
         vectors = fastsim.random_packed_vectors(a.inputs, 128, seed=2)
         cold = fasttimer.timed_activity(a, vectors)
         b = ripple_carry_adder(6)
+        puts = mem_store.stats()["puts"]
         warm = fasttimer.timed_activity(b, vectors)
+        assert mem_store.stats()["puts"] == puts     # nothing rebuilt
         assert warm.toggles == cold.toggles
         assert warm.events == cold.events
         assert warm.glitches == cold.glitches
-        # Payloads written before the lane backend was removed carry
-        # a second, lane-generic kernel; disk stores outlive upgrades,
-        # so such an entry must still rehydrate, not force a recompile.
+
+    @pytest.mark.parametrize("damage", [
+        "legacy_kernel", "legacy_kernel_be", "slot_out_of_range",
+        "pending_out_of_range", "unknown_gate_type", "row_arity"])
+    def test_fasttimer_bad_payload_rebuilds(self, mem_store, damage):
+        """A payload the interpreter cannot trust is a counted miss and
+        a rebuild, never a kernel that raises or miscounts."""
+        a = ripple_carry_adder(6)
+        vectors = fastsim.random_packed_vectors(a.inputs, 128, seed=2)
+        cold = fasttimer.timed_activity(a, vectors)
         fp = a.fingerprint()
-        payload = dict(mem_store.get(fp, fasttimer.STORE_KIND))
-        source = "def __fasttimer_eval_be(C, N, T, M, ANY, PC):\n" \
-                 "    return 0\n"
-        payload["kernel_be"] = artifact_store.code_blob(
-            source, "<fasttimer-be>",
-            compile(source, "<fasttimer-be>", "exec"))
+        good = mem_store.get(fp, fasttimer.STORE_KIND)
+        payload = json.loads(json.dumps(good))       # deep copy
+        if damage.startswith("legacy"):
+            # The format older versions stored: a compiled kernel (and
+            # sometimes a second, lane-generic one) instead of a table.
+            # The stand-in kernels count nothing, so binding either
+            # would show up as a wrong report.
+            del payload["table"], payload["n_pending"]
+            source = "def __fasttimer_eval(C, N, T, M):\n    return 0\n"
+            payload["kernel"] = artifact_store.code_blob(
+                source, "<fasttimer>")
+            if damage == "legacy_kernel_be":
+                source_be = ("def __fasttimer_eval_be(C, N, T, M, ANY, "
+                             "PC):\n    return 0\n")
+                payload["kernel_be"] = artifact_store.code_blob(
+                    source_be, "<fasttimer-be>")
+        else:
+            tick = next(t for t in payload["table"] if t[3])
+            gate_type, rows = tick[3][0]
+            if damage == "slot_out_of_range":
+                rows[0][0] = len(payload["nets"])
+            elif damage == "pending_out_of_range":
+                rows[0][-1] = payload["n_pending"]
+            elif damage == "unknown_gate_type":
+                tick[3][0][0] = "NO_SUCH_CELL"
+            else:
+                rows[0].pop(0)
         mem_store.put(fp, fasttimer.STORE_KIND, payload)
+
         c = ripple_carry_adder(6)
-        assert fasttimer._rehydrate_timed(c, 0, payload) is not None
+        assert fasttimer._rehydrate_timed(c, 0, payload) is None
         puts = mem_store.stats()["puts"]
-        older = fasttimer.timed_activity(c, vectors)
-        assert mem_store.stats()["puts"] == puts     # nothing recompiled
-        assert older.toggles == cold.toggles
-        assert older.events == cold.events
-        assert older.glitches == cold.glitches
+        obs.enable()
+        try:
+            misses = obs.registry.counter("fasttimer.rehydrate_misses")
+            rebuilt = fasttimer.timed_activity(c, vectors)
+            assert obs.registry.counter("fasttimer.rehydrate_misses") \
+                == misses + 1
+        finally:
+            obs.disable()
+        assert mem_store.stats()["puts"] == puts + 1   # rebuilt, published
+        assert rebuilt == cold
+        # The rebuild replaced the bad entry: the next circuit rehydrates.
+        again = fasttimer.timed_activity(ripple_carry_adder(6), vectors)
+        assert mem_store.stats()["puts"] == puts + 1
+        assert again == cold
 
     def test_fasttimer_sharded_warm(self, disk_store):
         a = counter(6)
