@@ -6,11 +6,12 @@ through.  The gated comparison is *architecture vs the paper-era
 walk*: the serial leg runs one full :func:`collect_activity` per
 candidate (what the passes did before the incremental engine), the
 parallel leg runs the pooled executor — persistent workers, stimulus
-shipped once per worker, per-worker cone caches warm-started from the
-sweep's shared disk store, candidates spliced instead of resimulated.
-On a box with real cores the pool adds concurrency on top; on a
-single-core runner the win is the warm-start architecture alone, so
-the gate holds either way.
+shipped once per worker, compiled plans shared through the sweep's
+disk store, and each worker's own cone cache splicing the candidates
+it evaluates instead of resimulating them.  On a box with real cores
+the pool adds concurrency on top; on a single-core runner the win is
+the splicing and warm-start architecture alone, so the gate holds
+either way.
 
 The candidate population is the combined multi-pass sweep of
 ``bench_perf_incremental``: a guarded-evaluation bank, a clock-gating

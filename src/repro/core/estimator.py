@@ -174,20 +174,10 @@ class PowerEstimator:
         if technique == "simulation":
             if vectors is None:
                 raise ValueError("simulation needs stimulus vectors")
-            from repro.logic import incremental
             from repro.logic.simulate import collect_activity
 
             engine = engine or self.engine
-            # Transparent incremental path: when this process has
-            # already simulated a structurally nearby circuit under
-            # the same stimulus, splice the cached cones instead of
-            # resimulating everything.  With an empty cone cache the
-            # probe costs one len() check; the report is bit-identical
-            # either way.
-            report = incremental.cached_activity(circuit, vectors,
-                                                 engine=engine)
-            if report is None:
-                report = collect_activity(circuit, vectors, engine=engine)
+            report = collect_activity(circuit, vectors, engine=engine)
             power = report.average_power(vdd=self.vdd, freq=self.freq)
             return EstimateResult(power, f"{technique}/{engine}", "gate",
                                   cost=len(vectors) * circuit.gate_count())

@@ -658,10 +658,9 @@ def stimulus_fingerprint(vectors: "PackedVectors") -> str:
     """Content hash of a packed stimulus (hex, stable, memoized).
 
     Covers the batch length and every input lane (order-insensitive:
-    names are hashed sorted).  Together with a cone fingerprint and an
-    engine name it keys the per-cone activity cache; it is also the
-    stimulus half of :func:`repro.store.activity_key`.  Memoized on
-    the object — ``PackedVectors`` is immutable by convention.
+    names are hashed sorted).  It is the stimulus half of
+    :func:`repro.store.activity_key`.  Memoized on the object —
+    ``PackedVectors`` is immutable by convention.
     """
     cached = getattr(vectors, "_fingerprint", None)
     if cached is not None:

@@ -15,18 +15,19 @@ lever the paper's estimate/transform/re-estimate loop hinges on:
   support (:meth:`Circuit.cone_supports`): equal keys imply identical
   settled lane values, hence identical toggle/ones counts,
 - :func:`delta_activity` looks every net up in a process-wide
-  byte-budgeted :class:`ConeCache` (optionally backed by
-  ``repro.store`` entries of kind ``"activity"``), resimulates *only*
-  the dirty region — cache-missing nets, which by key construction
-  are already closed under transitive fanout — via
+  byte-budgeted :class:`ConeCache`, resimulates *only* the dirty
+  region — cache-missing nets, which by key construction are
+  already closed under transitive fanout — via
   :meth:`Circuit.extract_cone`, replaying clean boundary nets from
   cached lanes as pseudo-inputs, and splices the per-net counts into
   an :class:`ActivityReport` **bit-identical** to full resimulation
   (same float summation order, same clock-capacitance accounting),
-- :func:`estimate_delta` wraps the base-prime + variant-delta pair;
-  :func:`cached_activity` is the zero-overhead probe the
-  :class:`~repro.core.estimator.PowerEstimator` uses to engage the
-  cache transparently inside ``technique="simulation"``.
+- :func:`estimate_delta` wraps the base-prime + variant-delta pair.
+
+Cone records stay in process and only explicit incremental calls
+(``technique="incremental"``, :func:`estimate_delta`, the passes'
+``incremental=``) read them: a per-net disk record costs about as much
+to read back as the cone costs to resimulate, so none is written.
 
 Correctness is content-addressed: a cache hit is valid *because its
 key covers everything the cached counts depend on* — eviction can
@@ -39,19 +40,17 @@ Engine note: only zero-delay (settled-value) activity can be spliced
 from cached lanes; timed/glitch simulation needs full waveforms on
 boundary nets, so :mod:`repro.logic.fasttimer` instead memoizes whole
 timed runs (:func:`~repro.logic.fasttimer.timed_activity_cached`)
-under the same ``"activity"`` store kind.
+under the ``"activity"`` store kind.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro import store as artifact_store
 from repro.backend.core import resolve_engine
 from repro.logic import gates as gatelib
 from repro.logic.fastsim import PackedVectors, input_lane_hashes, \
@@ -62,28 +61,19 @@ from repro.logic.simulate import ActivityReport, Vector, collect_activity
 __all__ = [
     "ConeCache", "ConeRecord", "DeltaStats",
     "get_cone_cache", "set_cone_cache", "clear_cone_cache",
-    "cone_keys", "store_key", "delta_activity", "collect_activity_incremental",
-    "prime", "estimate_delta", "cached_activity", "reports_equal",
+    "cone_keys", "delta_activity", "collect_activity_incremental",
+    "prime", "estimate_delta", "reports_equal",
 ]
 
 Stimulus = Union[PackedVectors, Sequence[Vector]]
 
 #: In-process cone-cache key: (cone fingerprint hex, stimulus tail
-#: bytes).  Cheap to hash/compare; ``store_key`` folds it to a stable
-#: hex digest for the cross-process artifact store.
+#: bytes).  Cheap to hash/compare.
 ConeKey = Tuple[str, bytes]
 
 #: Dirty fraction (of non-input nets) above which a plain full
 #: resimulation is cheaper than cone extraction + splicing.
 DELTA_MAX_FRACTION = 0.7
-
-#: Runs shorter than this are not mirrored to the disk store — the
-#: envelope overhead would exceed the resimulation cost.
-STORE_MIN_CYCLES = 256
-
-#: Lanes longer than this (bits) stay in process; counts alone are
-#: still mirrored, but such entries cannot serve as replay boundaries.
-STORE_MAX_LANE_CYCLES = 1 << 20
 
 ENV_CACHE_BYTES = "REPRO_CONE_CACHE_BYTES"
 DEFAULT_CACHE_BYTES = 128 * 1024 * 1024
@@ -100,18 +90,17 @@ class ConeRecord:
     (ones over all ``n`` cycles, toggles over the ``n - 1``
     boundaries, ``last`` = final-cycle value); ``lane`` is the packed
     settled-value word, kept so the net can be replayed as a
-    pseudo-input on the dirty-region boundary (``None`` when the
-    record came from a counts-only store entry).
+    pseudo-input on the dirty-region boundary.
     """
 
     n: int
     ones: int
     toggles: int
     last: int
-    lane: Optional[int] = None
+    lane: int
 
     def nbytes(self) -> int:
-        return 96 + (0 if self.lane is None else (self.n >> 3))
+        return 96 + (self.n >> 3)
 
 
 @dataclass
@@ -123,7 +112,6 @@ class DeltaStats:
     reused_nets: int = 0   # non-input nets served from cache
     dirty_nets: int = 0    # non-input nets resimulated
     boundary_nets: int = 0
-    store_hits: int = 0
 
 
 class ConeCache:
@@ -229,12 +217,11 @@ def cone_keys(circuit: Circuit, packed: PackedVectors, engine: str,
     # In-process keys are plain (fingerprint, stimulus-tail) tuples:
     # tuple equality/hash is what dict probes pay for, and hashing a
     # cryptographic digest again for a process-local dict would buy
-    # nothing.  ``store_key`` derives the stable hex form on the rare
-    # store-mirroring paths.  Tails depend only on (stimulus, engine,
-    # batch length, input order), so the mask->tail memo rides the
-    # packed-stimulus object: a candidate sweep over one stimulus
-    # pays each distinct support mask's bit-walk once, and identical
-    # tails across candidates stay one shared bytes object.
+    # nothing.  Tails depend only on (stimulus, engine, batch length,
+    # input order), so the mask->tail memo rides the packed-stimulus
+    # object: a candidate sweep over one stimulus pays each distinct
+    # support mask's bit-walk once, and identical tails across
+    # candidates stay one shared bytes object.
     memo_key = (engine, packed.n, tuple(circuit.inputs))
     memos = getattr(packed, "_tail_memo", None)
     if memos is None:
@@ -263,13 +250,6 @@ def cone_keys(circuit: Circuit, packed: PackedVectors, engine: str,
     return keys
 
 
-def store_key(key: "ConeKey") -> str:
-    """Stable hex form of a cone key for the shared artifact store."""
-    fp, tail = key
-    return hashlib.sha256(
-        b"cone-key/1\x00" + fp.encode("ascii") + tail).hexdigest()
-
-
 def _record_from_lane(lane: int, n: int) -> ConeRecord:
     ones, toggles, last = lane_counts(lane, n)
     return ConeRecord(n=n, ones=ones, toggles=toggles, last=last,
@@ -290,41 +270,6 @@ def _ensure_packed(circuit: Circuit,
 
 
 # ----------------------------------------------------------------------
-# Store mirroring (kind "activity", schema repro.activity/1)
-# ----------------------------------------------------------------------
-def _cone_payload(rec: ConeRecord) -> Dict[str, object]:
-    payload: Dict[str, object] = {
-        "schema": artifact_store.ACTIVITY_SCHEMA, "flavour": "cone",
-        "n": rec.n, "ones": rec.ones, "toggles": rec.toggles,
-        "last": rec.last,
-    }
-    if rec.lane is not None and rec.n <= STORE_MAX_LANE_CYCLES:
-        payload["lane"] = format(rec.lane, "x")
-    return payload
-
-
-def _cone_from_payload(payload: Optional[Dict[str, object]],
-                       n: int) -> Optional[ConeRecord]:
-    """Decode a per-cone store entry; anything malformed is a miss."""
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("schema") != artifact_store.ACTIVITY_SCHEMA:
-        return None
-    if payload.get("flavour") != "cone":
-        return None
-    try:
-        if int(payload["n"]) != n:
-            return None
-        lane = payload.get("lane")
-        return ConeRecord(
-            n=n, ones=int(payload["ones"]),
-            toggles=int(payload["toggles"]), last=int(payload["last"]),
-            lane=int(lane, 16) if isinstance(lane, str) else None)
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-# ----------------------------------------------------------------------
 # The delta engine
 # ----------------------------------------------------------------------
 def delta_activity(circuit: Circuit, vectors: Stimulus, *,
@@ -332,7 +277,6 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
                    initial_state: Optional[Dict[str, int]] = None,
                    cache: Optional[ConeCache] = None,
                    populate: bool = True,
-                   _keys: Optional[Dict[str, ConeKey]] = None,
                    ) -> Tuple[ActivityReport, DeltaStats]:
     """Activity via the cone cache; bit-identical to full resim.
 
@@ -343,8 +287,7 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
     cannot be packed, an explicit ``initial_state`` is given (cached
     lanes assume latch init values), or the batch is empty; falls
     back to a full (but cache-populating) lane run when the dirty
-    region exceeds :data:`DELTA_MAX_FRACTION` of the nets or a
-    boundary lane is unavailable.
+    region exceeds :data:`DELTA_MAX_FRACTION` of the nets.
     """
     cache = cache if cache is not None else get_cone_cache()
     packed = _ensure_packed(circuit, vectors)
@@ -356,8 +299,7 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
                                   total_nets=len(circuit.nets))
     n = packed.n
     resolved = resolve_engine(engine)
-    keys = _keys if _keys is not None else cone_keys(circuit, packed,
-                                                     resolved)
+    keys = cone_keys(circuit, packed, resolved)
     nets = circuit.nets
     inputs = set(circuit.inputs)
     records: Dict[str, ConeRecord] = {}
@@ -386,35 +328,15 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
     cache.hits += hits
     cache.misses += len(missing)
     stats = DeltaStats(source="cached", total_nets=len(nets))
-
-    # Second chance: the shared artifact store (cross-process reuse).
-    st = artifact_store.get_store()
-    mirror = st.root is not None and n >= STORE_MIN_CYCLES
-    if missing and mirror:
-        still: List[str] = []
-        for net in missing:
-            rec = _cone_from_payload(
-                st.get(store_key(keys[net]),
-                       artifact_store.ACTIVITY_KIND), n)
-            if rec is not None:
-                records[net] = rec
-                cache.put(keys[net], rec)
-                stats.store_hits += 1
-            else:
-                still.append(net)
-        missing = still
-
     non_input = len(nets) - len(inputs)
     stats.reused_nets = non_input - len(missing)
     stats.dirty_nets = len(missing)
 
     if missing:
-        fresh: Dict[str, int] = {}
         if len(missing) > DELTA_MAX_FRACTION * max(1, non_input):
             lanes, _ = net_words_engine(circuit, packed,
                                         initial_state=None,
                                         engine=resolved)
-            fresh = {net: lanes[net] for net in missing}
             stats.source = "full"
         else:
             # By key construction the miss set is closed under
@@ -423,37 +345,19 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
             # well-formed sub-circuit whose boundary is clean.
             sub, boundary = circuit.extract_cone(missing)
             stats.boundary_nets = len(boundary)
-            boundary_lanes: Dict[str, int] = {}
-            for b in boundary:
-                rec = records.get(b)
-                if rec is None or rec.lane is None:
-                    break
-                boundary_lanes[b] = rec.lane
-            if len(boundary_lanes) != len(boundary):
-                lanes, _ = net_words_engine(circuit, packed,
-                                            initial_state=None,
-                                            engine=resolved)
-                fresh = {net: lanes[net] for net in missing}
-                stats.source = "full"
-            else:
-                words = {net: packed.words[net]
-                         for net in sub.inputs if net in packed.words}
-                words.update(boundary_lanes)
-                sub_packed = PackedVectors(list(sub.inputs), n, words)
-                lanes, _ = net_words_engine(sub, sub_packed,
-                                            initial_state=None,
-                                            engine=resolved)
-                fresh = {net: lanes[net] for net in missing}
-                stats.source = "delta"
-        for net, lane in fresh.items():
-            rec = _record_from_lane(lane, n)
+            words = {net: packed.words[net]
+                     for net in sub.inputs if net in packed.words}
+            words.update((b, records[b].lane) for b in boundary)
+            sub_packed = PackedVectors(list(sub.inputs), n, words)
+            lanes, _ = net_words_engine(sub, sub_packed,
+                                        initial_state=None,
+                                        engine=resolved)
+            stats.source = "delta"
+        for net in missing:
+            rec = _record_from_lane(lanes[net], n)
             records[net] = rec
             if populate:
                 cache.put(keys[net], rec)
-                if mirror:
-                    st.put(store_key(keys[net]),
-                           artifact_store.ACTIVITY_KIND,
-                           _cone_payload(rec))
 
     if obs.enabled():
         obs.inc(f"incremental.source.{stats.source}")
@@ -541,43 +445,6 @@ def estimate_delta(base: Circuit, variant: Circuit, vectors: Stimulus,
     """
     prime(base, vectors, engine=engine, cache=cache)
     return delta_activity(variant, vectors, engine=engine, cache=cache)
-
-
-def cached_activity(circuit: Circuit, vectors: Stimulus,
-                    engine: Optional[str] = None,
-                    min_hit_fraction: float = 0.25,
-                    ) -> Optional[ActivityReport]:
-    """Opportunistic cache probe for the estimator facade.
-
-    Returns a (bit-identical) report when the process cone cache can
-    serve at least ``min_hit_fraction`` of the circuit's non-input
-    nets, ``None`` otherwise — the caller then runs the plain path.
-    With an empty cache this is a single ``len()`` check, so one-shot
-    estimates pay nothing.
-    """
-    cache = get_cone_cache()
-    if not len(cache):
-        return None
-    packed = _ensure_packed(circuit, vectors)
-    if packed is None or packed.n == 0:
-        return None
-    resolved = resolve_engine(engine)
-    keys = cone_keys(circuit, packed, resolved)
-    inputs = set(circuit.inputs)
-    non_input = [net for net in circuit.nets if net not in inputs]
-    if not non_input:
-        return None
-    hits = 0
-    entries = cache._entries
-    for net in non_input:
-        rec = entries.get(keys[net])
-        if rec is not None and rec.n == packed.n:
-            hits += 1
-    if hits < min_hit_fraction * len(non_input):
-        return None
-    report, _ = delta_activity(circuit, packed, engine=resolved,
-                               cache=cache, _keys=keys)
-    return report
 
 
 def reports_equal(a: ActivityReport, b: ActivityReport) -> bool:

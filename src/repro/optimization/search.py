@@ -2,13 +2,13 @@
 
 Every optimization pass in this package is an estimate/transform/
 re-estimate loop (paper §IV): build candidate edits, score each by
-re-estimation, keep the best.  PR 9's cone cache made each score
-cheap; this module makes the *walk* scale — independent candidates
-fan out over a persistent :class:`~concurrent.futures.\
-ProcessPoolExecutor` whose workers warm-start from the shared
-:mod:`repro.store` disk layer, so cone-cache entries and compiled
-plans cross process boundaries and workers splice instead of
-resimulating.
+re-estimation, keep the best.  The cone cache
+(:mod:`repro.logic.incremental`) makes each score cheap; this module
+makes the *walk* scale — independent candidates fan out over a
+persistent :class:`~concurrent.futures.ProcessPoolExecutor` whose
+workers warm-start from the shared :mod:`repro.store` disk layer, so
+compiled plans and timed-run memos cross process boundaries.  Cone
+records stay in each worker's own cone cache.
 
 Contract
 --------
@@ -138,10 +138,10 @@ _CTX_CACHE: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 def _init_worker(store_dir: Optional[str]) -> None:
     """Warm-start one pool worker.
 
-    Point the worker at the sweep's shared disk store (cone-cache
-    entries and compiled plans written by any process rehydrate here),
-    start a fresh bounded in-process cone cache, and pre-import the
-    hot modules so the first job measures estimation, not imports.
+    Point the worker at the sweep's shared disk store (compiled plans
+    and timed-run memos written by any process rehydrate here), start
+    a fresh bounded in-process cone cache, and pre-import the hot
+    modules so the first job measures estimation, not imports.
     """
     _WORKER_STATE["in_worker"] = True
     if store_dir:
@@ -220,8 +220,8 @@ def _pool_store_dir() -> str:
 
     The parent's store object is never replaced — pools must not have
     global configuration side effects — but workers always get a disk
-    layer, because cross-worker cone and plan sharing is the entire
-    warm-start mechanism.
+    layer, because cross-worker sharing of compiled plans and
+    timed-run memos is the entire warm-start mechanism.
     """
     global _POOL_STORE_TMP
     st = artifact_store.get_store()
@@ -422,9 +422,9 @@ def activity_job(candidate: Any, ctx: SearchContext):
     ``candidate`` is a circuit or a ``(circuit, stimulus_key)`` pair
     (the key selects from ``ctx.stimuli``; default ``"stimulus"``).
     ``ctx.extras["incremental"]`` (default True) routes through the
-    cone cache — in a pool worker that cache warm-starts from the
-    sweep's shared disk store and repopulates it for later candidates;
-    either route returns the bit-identical report.
+    cone cache — in a pool worker, that worker's own cache, filled by
+    the candidates it evaluated before; either route returns the
+    bit-identical report.
     """
     if isinstance(candidate, tuple):
         circuit, key = candidate

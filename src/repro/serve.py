@@ -133,20 +133,19 @@ def _run_search(job: Dict[str, Any], cycles: int, seed,
     Two allowlisted kinds: ``bus-survey`` fans every implemented bus
     code over one address stream (:func:`survey_codes`), ``guarded``
     measures the top-k guard candidates of a circuit
-    (:func:`evaluate_guarded`).  ``spec["workers"]`` sets the search
-    pool's width *inside* this job; the default (serial) is right for
-    batches, whose parallelism already comes from the serve pool.
+    (:func:`evaluate_guarded`).  In a serve worker the candidate walk
+    is serial: :func:`_init_worker` marks serve workers as search-pool
+    workers, so a job never nests a pool inside the serve pool, whose
+    workers already run a batch's jobs in parallel.
     """
     from repro.logic import fastsim
     from repro.optimization import bus_encoding
-    from repro.optimization import search
     from repro.optimization.guarded_eval import evaluate_guarded
 
     spec = job.get("search", {})
     if not isinstance(spec, dict):
         raise ValueError("search spec must be an object")
     kind = spec.get("kind", "bus-survey")
-    workers = spec.get("workers")
 
     if kind == "bus-survey":
         width = int(spec.get("width", 12))
@@ -167,12 +166,10 @@ def _run_search(job: Dict[str, Any], cycles: int, seed,
         else:
             stream = bus_encoding.random_addresses(width, cycles,
                                                    seed=base_seed)
-        reports = bus_encoding.survey_codes(stream, engine=engine,
-                                            workers=workers)
+        reports = bus_encoding.survey_codes(stream, engine=engine)
         best = min(reports, key=lambda r: (r.transitions, r.code))
         return {
             "kind": kind,
-            "workers": search.resolve_workers(workers),
             "results": [{"code": r.code,
                          "transitions": r.transitions,
                          "per_cycle": r.per_cycle,
@@ -189,10 +186,9 @@ def _run_search(job: Dict[str, Any], cycles: int, seed,
             vectors = vectors.to_vectors()
         top_k = max(1, int(spec.get("top_k", 3)))
         report = evaluate_guarded(circuit, vectors, top_k=top_k,
-                                  engine=engine, workers=workers)
+                                  engine=engine)
         payload: Dict[str, Any] = {
             "kind": kind,
-            "workers": search.resolve_workers(workers),
             "fingerprint": circuit.fingerprint(),
         }
         if report is None:
@@ -357,10 +353,15 @@ def _merge_shards(parts: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 def _init_worker(store_dir: Optional[str]) -> None:
-    """Warm a pool worker: store config + imports off the hot path."""
-    if store_dir:
-        os.environ[artifact_store.ENV_DIR] = store_dir
-        artifact_store.set_store(None)      # rebuild from env
+    """Warm a pool worker: store config + imports off the hot path.
+
+    Runs the search pool's worker initializer, which points the
+    worker at the shared store and marks it a pool worker, so the
+    candidate sweeps of ``search`` jobs stay serial instead of
+    nesting a second pool inside this one.
+    """
+    from repro.optimization import search
+    search._init_worker(store_dir)
     # Pre-import the heavy modules so the first job measures
     # estimation, not imports.
     import repro.core                     # noqa: F401

@@ -126,19 +126,17 @@ def load_function(blob: Dict[str, str], name: str) -> Callable:
 
 
 # ----------------------------------------------------------------------
-# Activity payloads (incremental re-estimation)
+# Activity payloads (whole-run memo)
 # ----------------------------------------------------------------------
-#: Version tag of cached activity results (per-net toggle/ones counts
-#: and whole-run reports).  Bump on any layout change: payloads
-#: carrying another schema unpack to ``None`` — a plain miss — so a
-#: stale or corrupt entry degrades to resimulation, exactly like a
-#: corrupt plan degrades to recompilation.
+#: Version tag of cached whole-run activity results.  Bump on any
+#: layout change: payloads carrying another schema unpack to ``None``
+#: — a plain miss — so a stale or corrupt entry degrades to
+#: resimulation, exactly like a corrupt plan degrades to
+#: recompilation.
 ACTIVITY_SCHEMA = "repro.activity/1"
 
-#: Store kind for activity results.  Two flavours share it: per-cone
-#: records keyed by :func:`repro.logic.incremental.cone_key` (counts
-#: plus optionally the packed lane for boundary replay) and whole-run
-#: reports keyed by :func:`activity_key`.
+#: Store kind for whole-run activity reports keyed by
+#: :func:`activity_key` (fasttimer's memoized timed runs).
 ACTIVITY_KIND = "activity"
 
 
@@ -148,8 +146,8 @@ def activity_key(circuit_fp: str, stimulus_fp: str, engine: str,
 
     One sha256 over circuit structure, packed stimulus, engine name,
     and batch length — everything an :class:`ActivityReport` depends
-    on.  Used for cross-process rerun hits (`estimate_delta` bases,
-    fasttimer's memoized timed runs).
+    on.  Used for cross-process rerun hits of fasttimer's memoized
+    timed runs.
     """
     h = hashlib.sha256(b"activity-run/1\x00")
     for part in (circuit_fp, stimulus_fp, engine, str(cycles)):
@@ -161,15 +159,12 @@ def activity_key(circuit_fp: str, stimulus_fp: str, engine: str,
 def pack_activity(cycles: int, nets: list, toggles: Dict[str, int],
                   ones: Dict[str, int], switched: float, clock: float,
                   events: Optional[int] = None,
-                  glitches: Optional[int] = None,
-                  lanes: Optional[Dict[str, int]] = None
-                  ) -> Dict[str, Any]:
+                  glitches: Optional[int] = None) -> Dict[str, Any]:
     """JSON-able envelope of an activity result (``repro.activity/1``).
 
-    Counts are stored as parallel lists in ``nets`` order; lanes (for
-    boundary replay) as lowercase hex.  Floats round-trip exactly
-    through JSON (``repr`` round-trip), so an unpacked report stays
-    bit-identical to the one packed.
+    Counts are stored as parallel lists in ``nets`` order.  Floats
+    round-trip exactly through JSON (``repr`` round-trip), so an
+    unpacked report stays bit-identical to the one packed.
     """
     payload: Dict[str, Any] = {
         "schema": ACTIVITY_SCHEMA,
@@ -184,8 +179,6 @@ def pack_activity(cycles: int, nets: list, toggles: Dict[str, int],
         payload["events"] = int(events)
     if glitches is not None:
         payload["glitches"] = int(glitches)
-    if lanes is not None:
-        payload["lanes"] = {n: format(w, "x") for n, w in lanes.items()}
     return payload
 
 
@@ -194,9 +187,9 @@ def unpack_activity(payload: Optional[Dict[str, Any]]
     """Validate and decode a :func:`pack_activity` envelope.
 
     Returns ``None`` — a miss — for anything malformed: wrong schema,
-    missing fields, length mismatches, undecodable lanes.  Callers
-    resimulate on a miss, so corruption degrades to recomputation and
-    never to a wrong report.
+    missing fields, length mismatches.  Callers resimulate on a miss,
+    so corruption degrades to recomputation and never to a wrong
+    report.
     """
     if not isinstance(payload, dict):
         return None
@@ -209,7 +202,7 @@ def unpack_activity(payload: Optional[Dict[str, Any]]
         ones = [int(o) for o in payload["ones"]]
         if len(toggles) != len(nets) or len(ones) != len(nets):
             return None
-        result: Dict[str, Any] = {
+        return {
             "cycles": cycles,
             "nets": nets,
             "toggles": dict(zip(nets, toggles)),
@@ -221,10 +214,6 @@ def unpack_activity(payload: Optional[Dict[str, Any]]
             "glitches": (int(payload["glitches"])
                          if payload.get("glitches") is not None else None),
         }
-        if "lanes" in payload:
-            result["lanes"] = {str(n): int(w, 16)
-                               for n, w in payload["lanes"].items()}
-        return result
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -251,8 +240,8 @@ class ArtifactStore:
         self._lock = threading.Lock()
         # Bytes written since the last eviction scan; scanning the
         # whole directory per put is O(N^2) across a population of
-        # per-net cone records, so the trim is amortized: the disk
-        # layer may overshoot max_bytes by one scan interval.
+        # artifacts, so the trim is amortized: the disk layer may
+        # overshoot max_bytes by one scan interval.
         self._unscanned_bytes = 0
         self._counters = {
             "mem_hits": 0, "disk_hits": 0, "misses": 0,

@@ -1,12 +1,13 @@
 """Incremental cone-of-influence re-estimation (repro.logic.incremental).
 
 The load-bearing property is *bit-identity*: every report produced
-through the cone cache — cached, delta, full-splice, or store-backed —
-must equal full resimulation exactly (integer counts and float sums).
-The hypothesis suites drive random circuits, random edits, and every
+through the cone cache — cached, delta, or full-splice — must equal
+full resimulation exactly (integer counts and float sums).  The
+hypothesis suites drive random circuits, random edits, and every
 engine through that equality; the remaining tests pin the cache
-contracts (stale-mutation safety, store corruption degrading to a
-miss, estimator memoization) and the rewired optimization passes.
+contracts (stale-mutation safety, cone records staying in process,
+store corruption degrading to a miss, estimator memoization) and the
+rewired optimization passes.
 """
 
 import json
@@ -184,7 +185,7 @@ class TestStaleness:
 
 
 # ----------------------------------------------------------------------
-# Store layer (cross-process reuse, corruption)
+# Store layer (cone records stay in process, corruption)
 # ----------------------------------------------------------------------
 class TestStoreLayer:
     @pytest.fixture(autouse=True)
@@ -196,34 +197,42 @@ class TestStoreLayer:
 
     def _prime_on_disk(self):
         base = random_logic(5, 40, 2, seed=9)
-        vectors = random_packed_vectors(
-            list(base.inputs), inc.STORE_MIN_CYCLES, seed=3)
-        inc.prime(base, vectors, cache=inc.ConeCache())
-        return base, vectors
+        vectors = random_packed_vectors(list(base.inputs), 256, seed=3)
+        cache = inc.ConeCache()
+        inc.prime(base, vectors, cache=cache)
+        return base, vectors, cache
 
-    def test_cross_process_store_hits(self):
-        base, vectors = self._prime_on_disk()
+    def test_cone_records_stay_in_process(self, tmp_path):
+        base, vectors, cache = self._prime_on_disk()
+        variant = edit_gates(base, [7], random.Random(2))
+        _, stats = inc.delta_activity(variant, vectors, cache=cache)
+        assert stats.source == "delta"
+        assert list(tmp_path.glob("activity-*")) == []
         # Fresh in-process cache + fresh circuit object = a new
-        # process; only the disk entries can satisfy the lookups.
+        # process: nothing on disk serves it, full simulation does.
         clone = base.clone(base.name)
         report, stats = inc.delta_activity(clone, vectors,
                                            cache=inc.ConeCache())
-        assert stats.store_hits > 0
+        assert stats.source == "full"
         assert inc.reports_equal(report,
                                  collect_activity(clone, vectors))
 
     def test_corrupt_store_entry_degrades_to_miss(self, tmp_path):
-        base, vectors = self._prime_on_disk()
-        for path in tmp_path.glob("*.json"):
+        base, vectors, _ = self._prime_on_disk()
+        paths = list(tmp_path.glob("*.json"))
+        assert paths                           # the compiled plans
+        for path in paths:
             path.write_text("{ not json")
-        # Fresh store object: the priming store's in-memory layer
-        # would otherwise mask the corrupted disk entries.
+        # Fresh store object and fresh circuit object, as in a new
+        # process: the priming store's in-memory layer and the plan
+        # cached on ``base`` would otherwise mask the corrupted disk
+        # entries.
         artifact_store.configure(tmp_path)
-        report, stats = inc.delta_activity(base, vectors,
-                                           cache=inc.ConeCache())
-        assert stats.store_hits == 0
+        clone = base.clone(base.name)
+        report, _ = inc.delta_activity(clone, vectors,
+                                       cache=inc.ConeCache())
         assert inc.reports_equal(report,
-                                 collect_activity(base, vectors))
+                                 collect_activity(clone, vectors))
         assert artifact_store.get_store().stats()["corrupt"] > 0
 
     def test_wrong_schema_payload_is_a_miss(self):
@@ -254,16 +263,20 @@ class TestEstimator:
         assert delta.power == full.power
         assert delta.technique.startswith("simulation-delta/")
 
-    def test_gate_probe_transparent(self):
+    def test_gate_never_computes_cone_keys(self, monkeypatch):
         from repro.core.estimator import PowerEstimator
 
         base = random_logic(6, 60, 3, seed=11)
         vectors = random_packed_vectors(list(base.inputs), 64, seed=5)
-        est = PowerEstimator()
-        cold = est.gate(base, vectors)         # empty cache: plain path
         inc.prime(base, vectors)               # process-wide cache
-        warm = est.gate(base, vectors)         # probe serves the report
-        assert cold.power == warm.power
+        other = random_logic(6, 60, 3, seed=12)
+        want = collect_activity(other, vectors).average_power()
+
+        def no_cone_keys(self):
+            raise AssertionError("gate() computed cone keys")
+
+        monkeypatch.setattr(Circuit, "cone_fingerprints", no_cone_keys)
+        assert PowerEstimator().gate(other, vectors).power == want
 
     def test_packed_stimulus_memo(self):
         from repro.core.estimator import PowerEstimator

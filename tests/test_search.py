@@ -11,6 +11,7 @@ seed-derivation schemes into :mod:`repro.util.seeding`.
 """
 
 import os
+import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,6 +42,21 @@ def _clean_env(monkeypatch):
 
 def teardown_module(module):
     search.shutdown_pool()
+
+
+def _kill_process_tree(pid):
+    """SIGKILL ``pid`` and the descendants ``/proc`` lists for it."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as fh:
+            children = [int(c) for c in fh.read().split()]
+    except OSError:
+        children = []
+    for child in children:
+        _kill_process_tree(child)
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -440,6 +456,43 @@ class TestServeSearch:
             "search": {"kind": "mystery"},
         })
         assert not bad_kind["ok"]
+
+    def test_live_server_search_job_never_nests_pools(self, monkeypatch,
+                                                      tmp_path):
+        # Serve workers count as search-pool workers, so a served
+        # search job walks its candidates serially even when the
+        # environment asks for a pool; a pool nested inside a serve
+        # worker would block the server's stop() forever.
+        import threading
+        from repro import serve
+        from repro import store as artifact_store
+
+        monkeypatch.setenv(search.ENV_WORKERS, "2")
+        # start() exports REPRO_STORE and swaps the store singleton:
+        # monkeypatch restores the variable, the finally the store.
+        monkeypatch.setenv(artifact_store.ENV_DIR, str(tmp_path))
+        prev_store = artifact_store.set_store(None)
+        server = serve.EstimationServer(workers=2)
+        try:
+            server.start()
+            result = serve.Client(*server.address).estimate([{
+                "technique": "search", "cycles": 200, "seed": 4,
+                "search": {"kind": "bus-survey", "width": 8}}])
+        finally:
+            stopper = threading.Thread(target=server.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=30)
+            artifact_store.set_store(prev_store)
+        hung = stopper.is_alive()
+        if hung:
+            # Kill the blocked serve workers and their nested pools, so
+            # the run reports this failure instead of hanging at exit.
+            for pid in list(server._pool._processes):
+                _kill_process_tree(pid)
+        assert not hung, "stop() blocked on a nested pool"
+        [job] = result["results"]
+        assert job["ok"], job
+        assert "workers" not in job
 
     def test_search_jobs_never_shard(self):
         from repro import serve
