@@ -9,7 +9,11 @@ workload shapes, both gated:
   retyped.  Re-estimating the edit resimulates only the dirty cone —
   the edited gate plus transitive fanout — and splices every other
   net's cached counts.  The report must be bit-identical to a full
-  resimulation and land an order of magnitude faster.
+  resimulation and land an order of magnitude faster.  The gated
+  ``delta_s`` times ``delta_activity`` on a variant whose cone
+  structure is already built; the ungated ``edit_s`` is the edit as a
+  user pays it — ``clone()``, retype, ``invalidate()`` and
+  ``estimate_delta`` — as the median over distinct single-gate edits.
 
 - **Optimization sweep.**  The exact estimation workload the rewired
   passes issue: a clock-gating ``simplify_fraction`` sweep, a
@@ -31,7 +35,10 @@ orchestrator.  The incremental legs always run on a *fresh*
 did not itself pay to fill.
 """
 
+import os
 import random
+import statistics
+import time
 
 from _perf_common import REPO_ROOT, measure, record
 
@@ -154,6 +161,47 @@ def sweep_population():
 # Benches
 # ----------------------------------------------------------------------
 
+def _retype(circuit: Circuit, index: int) -> Circuit:
+    """Clone ``circuit`` with gate ``index`` retyped to XNOR2 (to XOR2
+    when it already is one)."""
+    variant = circuit.clone("edited")
+    gate = variant.gates[index]
+    gate.gate_type = "XNOR2" if gate.gate_type != "XNOR2" else "XOR2"
+    variant.invalidate()
+    return variant
+
+
+def edit_seconds(circuit: Circuit, vectors: PackedVectors,
+                 edits: int = 9) -> float:
+    """Median wall time of one whole edit as a user pays it.
+
+    Each of ``edits`` distinct 2-input gates near the outputs is
+    retyped on a fresh clone and re-estimated with ``estimate_delta``
+    against a cache primed with ``circuit``: clone, retype,
+    ``invalidate()`` and the cone-structure work are all inside the
+    timed region.  One more edit, untimed, checks bit-identity first.
+    """
+    near = [i for i in range(len(circuit.gates) - 300,
+                             len(circuit.gates) - 20)
+            if len(circuit.gates[i].inputs) == 2]
+    sites = near[::max(1, len(near) // (edits + 1))][:edits + 1]
+    cache = inc.ConeCache()
+    inc.prime(circuit, vectors, cache=cache)
+    shape("edit_s sweeps distinct edits", len(sites) == edits + 1)
+    variant = _retype(circuit, sites[0])
+    report, _stats = inc.estimate_delta(circuit, variant, vectors,
+                                        cache=cache)
+    shape("estimate_delta bit-identical to full resim",
+          inc.reports_equal(report, collect_activity(variant, vectors)))
+    times = []
+    for index in sites[1:]:
+        start = time.perf_counter()
+        inc.estimate_delta(circuit, _retype(circuit, index), vectors,
+                           cache=cache)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def test_perf_single_gate_edit(once):
     """One retyped gate in a large block: dirty cone only, >= 5x."""
     circuit = random_logic(32, 3000, 16, seed=3)
@@ -162,11 +210,9 @@ def test_perf_single_gate_edit(once):
 
     # Retype a gate near the outputs so the edit's fanout (and hence
     # the honest dirty region) stays a small fraction of the netlist.
-    variant = circuit.clone("edited")
-    gate = next(g for g in reversed(variant.gates[:-20])
-                if len(g.inputs) == 2)
-    gate.gate_type = "XNOR2" if gate.gate_type != "XNOR2" else "XOR2"
-    variant.invalidate()
+    variant = _retype(circuit, next(
+        i for i in reversed(range(len(circuit.gates) - 20))
+        if len(circuit.gates[i].inputs) == 2))
 
     def run():
         cache = inc.ConeCache()
@@ -183,9 +229,9 @@ def test_perf_single_gate_edit(once):
                          repeats=3)
         t_delta = measure(lambda: inc.delta_activity(
             variant, vectors, cache=cache, populate=False), repeats=3)
-        return t_full, t_delta, stats
+        return t_full, t_delta, stats, edit_seconds(circuit, vectors)
 
-    t_full, t_delta, stats = once(run)
+    t_full, t_delta, stats, t_edit = once(run)
     speedup = t_full / max(t_delta, 1e-9)
     _record({
         "key": "single_gate_edit",
@@ -195,13 +241,16 @@ def test_perf_single_gate_edit(once):
         "reused_nets": stats.reused_nets,
         "full_s": round(t_full, 6),
         "delta_s": round(t_delta, 6),
+        "edit_s": round(t_edit, 6),
         "speedup": round(speedup, 2),
+        "cpus": os.cpu_count(),
     })
     print()
     print(f"Perf: single-gate edit, {circuit.gate_count()} gates x "
           f"{vectors.n} cycles, dirty {stats.dirty_nets}/"
           f"{stats.total_nets} nets: full {t_full * 1e3:.1f} ms, "
-          f"delta {t_delta * 1e3:.1f} ms  ->  {speedup:.2f}x")
+          f"delta {t_delta * 1e3:.1f} ms  ->  {speedup:.2f}x; "
+          f"whole edit (clone + estimate_delta) {t_edit * 1e3:.1f} ms")
     shape(f"single-gate delta re-estimation >= 5x over full resim "
           f"(got {speedup:.2f}x)", speedup >= 5.0)
 
@@ -236,6 +285,7 @@ def test_perf_optimization_sweep(once):
         "full_s": round(t_full, 6),
         "incremental_s": round(t_incr, 6),
         "speedup": round(speedup, 2),
+        "cpus": os.cpu_count(),
     })
     print()
     print(f"Perf: optimization sweep, {len(pairs)} candidate "

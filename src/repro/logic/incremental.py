@@ -22,7 +22,8 @@ lever the paper's estimate/transform/re-estimate loop hinges on:
   cached lanes as pseudo-inputs, and splices the per-net counts into
   an :class:`ActivityReport` **bit-identical** to full resimulation
   (same float summation order, same clock-capacitance accounting),
-- :func:`estimate_delta` wraps the base-prime + variant-delta pair.
+- :func:`estimate_delta` wraps the base-prime + variant-delta pair,
+  priming each base once per stimulus and engine.
 
 Cone records stay in process and only explicit incremental calls
 (``technique="incremental"``, :func:`estimate_delta`, the passes'
@@ -54,7 +55,7 @@ from repro import obs
 from repro.backend.core import resolve_engine
 from repro.logic import gates as gatelib
 from repro.logic.fastsim import PackedVectors, input_lane_hashes, \
-    lane_counts, net_words_engine
+    lane_counts, net_words_engine, stimulus_fingerprint
 from repro.logic.netlist import Circuit
 from repro.logic.simulate import ActivityReport, Vector, collect_activity
 
@@ -120,7 +121,9 @@ class ConeCache:
     The budget (``REPRO_CONE_CACHE_BYTES``, default 128 MiB) counts
     lane payloads — one record for an ``n``-cycle run costs about
     ``n/8`` bytes — so long traces over large circuit populations
-    evict gracefully instead of growing without bound.
+    evict gracefully instead of growing without bound.  The cache
+    also remembers which bases :func:`estimate_delta` has primed;
+    any eviction or :meth:`clear` forgets them all.
     """
 
     def __init__(self, max_bytes: Optional[int] = None) -> None:
@@ -134,6 +137,10 @@ class ConeCache:
         self._bytes = 0
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
+        #: Prime tokens (see :func:`estimate_delta`) whose records are
+        #: all resident.
+        self._primed: set = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -156,14 +163,18 @@ class ConeCache:
         while self._bytes > self.max_bytes and len(self._entries) > 1:
             _, evicted = self._entries.popitem(last=False)
             self._bytes -= evicted.nbytes()
+            self.evictions += 1
+            self._primed.clear()
 
     def clear(self) -> None:
         self._entries.clear()
         self._bytes = 0
+        self._primed.clear()
 
     def stats(self) -> Dict[str, int]:
         return {"entries": len(self._entries), "bytes": self._bytes,
                 "hits": self.hits, "misses": self.misses,
+                "evictions": self.evictions,
                 "max_bytes": self.max_bytes}
 
 
@@ -436,14 +447,31 @@ def estimate_delta(base: Circuit, variant: Circuit, vectors: Stimulus,
                    ) -> Tuple[ActivityReport, DeltaStats]:
     """Re-estimate an edited ``variant`` against a cached ``base``.
 
-    Primes the cache with the base circuit (free when already
-    resident), then evaluates the variant through the cone cache:
-    only the dirty cone — edited nets plus transitive fanout, closed
-    over latch feedback — is resimulated.  Returns the variant's
-    report (bit-identical to full resimulation) plus the
-    :class:`DeltaStats` describing the reuse.
+    Primes the cache with the base circuit once per (base structure,
+    stimulus, engine) — until the cache evicts a record or is cleared
+    — then evaluates the variant through the cone cache: only the
+    dirty cone — edited nets plus transitive fanout, closed over
+    latch feedback — is resimulated.  Returns the variant's report
+    (bit-identical to full resimulation) plus the :class:`DeltaStats`
+    describing the reuse; neither depends on whether the prime ran.
     """
-    prime(base, vectors, engine=engine, cache=cache)
+    cache = cache if cache is not None else get_cone_cache()
+    # The memo token covers everything the base's cone keys depend
+    # on.  A cone structure is never mutated and any edit yields a new
+    # one, so its serial stands for the base's fingerprints, supports
+    # and input order; the stimulus enters by content.
+    packed = _ensure_packed(base, vectors)
+    token = None
+    if packed is not None and packed.n:
+        token = (base._cone_structure().serial,
+                 stimulus_fingerprint(packed), resolve_engine(engine),
+                 packed.n)
+    if token is None or token not in cache._primed:
+        evictions = cache.evictions
+        prime(base, vectors if packed is None else packed,
+              engine=engine, cache=cache)
+        if token is not None and cache.evictions == evictions:
+            cache._primed.add(token)
     return delta_activity(variant, vectors, engine=engine, cache=cache)
 
 

@@ -10,6 +10,7 @@ framework.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -72,8 +73,11 @@ class Circuit:
         self._fasttimer_plan: Optional[object] = None
         self._tick_grid: Optional[object] = None
         self._fingerprint_cache: Optional[Tuple[int, str]] = None
-        self._cone_fp_cache: Optional[Tuple[int, Dict[str, str]]] = None
-        self._cone_support_cache: Optional[Tuple[int, Dict[str, int]]] = None
+        #: Last cone structure computed (or inherited from the parent
+        #: of a clone) and the version it is current for; after an
+        #: edit it is the base the next cone query diffs against.
+        self._cone_snap: Optional[_ConeStructure] = None
+        self._cone_snap_version: int = -1
         self._version: int = 0
 
     def invalidate(self) -> None:
@@ -83,7 +87,9 @@ class Circuit:
         mutates gates or latches in place (rewiring ``gate.inputs``,
         setting ``latch.enable``, ...) must call it explicitly so the
         cached topological order, fanout map, load capacitances, and
-        compiled simulation plan are rebuilt.
+        compiled simulation plan are rebuilt.  The last cone structure
+        is kept as the base the next cone query diffs against (see
+        :meth:`cone_fingerprints`).
         """
         self._topo_cache = None
         self._fanout_cache = None
@@ -103,6 +109,8 @@ class Circuit:
         rebuild them from the structural state.  The structural
         fingerprint *does* survive pickling — it is a plain string,
         and carrying it saves every worker one canonicalization pass.
+        The cone structure does not: it is the largest derived state,
+        and one pass rebuilds it where it is needed.
         """
         state = self.__dict__.copy()
         state["_topo_cache"] = None
@@ -111,6 +119,7 @@ class Circuit:
         state["_fastsim_plan"] = None
         state["_fasttimer_plan"] = None
         state["_tick_grid"] = None
+        state["_cone_snap"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -173,8 +182,9 @@ class Circuit:
     # Cone identity (incremental re-estimation)
     # ------------------------------------------------------------------
     def _cone_graph(self) -> Tuple[Dict[str, Tuple[str, ...]],
-                                   Dict[str, str]]:
-        """Net dependency graph plus a canonical line per driver.
+                                   Dict[str, str], Dict[str, str]]:
+        """Net dependency graph, the cell type of every gate-driven
+        net, and the canonical line of every latch-driven one.
 
         Edges point from a net to the nets its driver reads (a latch
         reads its data and, when present, its enable).  Nets that are
@@ -182,25 +192,22 @@ class Circuit:
         malformed circuits still hash instead of raising here.
         """
         deps: Dict[str, Tuple[str, ...]] = {}
-        lines: Dict[str, str] = {}
+        types: Dict[str, str] = {}
+        latch_lines: Dict[str, str] = {}
         for net in self.inputs:
             deps[net] = ()
-            lines[net] = f"i:{net}"
         for g in self.gates:
             deps[g.output] = tuple(g.inputs)
-            lines[g.output] = f"g:{g.gate_type}:{','.join(g.inputs)}" \
-                f">{g.output}"
+            types[g.output] = g.gate_type
         for l in self.latches:
-            read = (l.data,) if l.enable is None else (l.data, l.enable)
-            deps[l.output] = read
-            lines[l.output] = (f"l:{l.data}>{l.output}:{l.init}:"
-                               f"{l.enable or ''}:{int(l.clocked)}")
+            deps[l.output] = ((l.data,) if l.enable is None
+                              else (l.data, l.enable))
+            latch_lines[l.output] = _latch_line(l)
         for net, read in list(deps.items()):
             for d in read:
                 if d not in deps:
                     deps[d] = ()
-                    lines[d] = f"i:{d}"
-        return deps, lines
+        return deps, types, latch_lines
 
     def cone_fingerprints(self) -> Dict[str, str]:
         """Per-net structural hash of the net's transitive fanin cone.
@@ -217,41 +224,15 @@ class Circuit:
         cone.  Library capacitances are deliberately excluded — cached
         lane values depend only on the logic function; switched
         capacitance is recomputed against the variant's own loads.
-        Cached until the next structural mutation.
+
+        Computed in one pass together with :meth:`cone_supports` and
+        cached until the next structural mutation.  A clone starts
+        from its parent's structure, and the first query after an
+        edit diffs every driver against the last structure: when no
+        read set, input or net changed, only the changed nets and
+        their transitive fanout are rehashed.
         """
-        cached = getattr(self, "_cone_fp_cache", None)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        deps, lines = self._cone_graph()
-        fps: Dict[str, str] = {}
-        for scc in _tarjan_sccs(deps):
-            if len(scc) == 1 and scc[0] not in deps[scc[0]]:
-                net = scc[0]
-                h = hashlib.sha256(b"cone/1\x00")
-                h.update(lines[net].encode("utf-8"))
-                for d in deps[net]:
-                    h.update(b"\x00")
-                    h.update(fps[d].encode("ascii"))
-                fps[net] = h.hexdigest()
-            else:
-                members = set(scc)
-                h = hashlib.sha256(b"cone-scc/1\x00")
-                for m in sorted(scc):
-                    h.update(lines[m].encode("utf-8"))
-                    for d in deps[m]:
-                        h.update(b"\x00")
-                        # Internal edges are covered by the member
-                        # lines (names included); external fanin by
-                        # its cone fingerprint.
-                        if d not in members:
-                            h.update(fps[d].encode("ascii"))
-                    h.update(b"\x01")
-                scc_hash = h.hexdigest()
-                for m in scc:
-                    fps[m] = hashlib.sha256(
-                        f"{scc_hash}|{m}".encode("utf-8")).hexdigest()
-        self._cone_fp_cache = (self._version, fps)
-        return fps
+        return self._cone_structure().fps
 
     def cone_supports(self) -> Dict[str, int]:
         """Per-net primary-input support, as a bitmask over ``inputs``.
@@ -260,26 +241,65 @@ class Circuit:
         is in the net's transitive fanin (closed over latch feedback).
         The incremental engine combines this with per-input stimulus
         lane hashes so a cone's cache key only depends on the inputs
-        it can actually observe.  Cached until the next mutation.
+        it can actually observe.  Shares its pass (and its reuse after
+        an edit) with :meth:`cone_fingerprints`.
         """
-        cached = getattr(self, "_cone_support_cache", None)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        deps, _ = self._cone_graph()
-        input_bit = {net: 1 << i for i, net in enumerate(self.inputs)}
-        masks: Dict[str, int] = {}
-        for scc in _tarjan_sccs(deps):
-            members = set(scc)
-            mask = 0
-            for m in scc:
-                mask |= input_bit.get(m, 0)
-                for d in deps[m]:
-                    if d not in members:
-                        mask |= masks[d]
-            for m in scc:
-                masks[m] = mask
-        self._cone_support_cache = (self._version, masks)
-        return masks
+        return self._cone_structure().supports
+
+    def _cone_structure(self) -> "_ConeStructure":
+        """The cone structure of the circuit as it is now.
+
+        Reuses the last structure when nothing it covers changed,
+        derives from it when only cell types or latch lines changed,
+        and otherwise runs the full one-pass build.
+        """
+        snap = getattr(self, "_cone_snap", None)
+        if snap is not None and self._cone_snap_version == self._version:
+            return snap
+        changed = self._changed_drivers(snap) if snap is not None else None
+        if changed is None:
+            snap = _ConeStructure.build(tuple(self.inputs), self.nets,
+                                        len(self.latches),
+                                        *self._cone_graph())
+        elif changed[0] or changed[1]:
+            snap = snap.derive(*changed)
+        self._cone_snap = snap
+        self._cone_snap_version = self._version
+        return snap
+
+    def _changed_drivers(self, snap: "_ConeStructure"
+                         ) -> Optional[Tuple[Dict[str, str],
+                                             Dict[str, str]]]:
+        """``(new cell types, new latch lines)`` of the drivers that
+        changed since ``snap``.
+
+        ``None`` when more than that changed: the inputs, the nets
+        (or their order, which fixes the order caps sum consumers
+        in), or any read set.  The cheap checks come first, so a
+        circuit that gained or lost nets pays almost nothing here.
+        """
+        nets = self.nets
+        if (tuple(self.inputs) != snap.inputs
+                or len(self.latches) != snap.n_latches
+                or nets != snap.nets):
+            return None
+        reads, types, latch_lines = snap.reads, snap.types, snap.latch_lines
+        new_types: Dict[str, str] = {}
+        for g in self.gates:
+            out = g.output
+            if tuple(g.inputs) != reads[out]:
+                return None
+            if g.gate_type != types[out]:
+                new_types[out] = g.gate_type
+        new_lines: Dict[str, str] = {}
+        for l in self.latches:
+            read = (l.data,) if l.enable is None else (l.data, l.enable)
+            if read != reads[l.output]:
+                return None
+            line = _latch_line(l)
+            if line != latch_lines[l.output]:
+                new_lines[l.output] = line
+        return new_types, new_lines
 
     def diff_nets(self, other: "Circuit") -> Set[str]:
         """Nets whose driving cones differ between ``self`` and ``other``.
@@ -590,12 +610,72 @@ class Circuit:
         Cached until the next structural mutation — both simulation
         engines and the event simulator share this map instead of
         rebuilding it per call.  Treat the returned dict as read-only.
+        A circuit whose cone structure is current (see
+        :meth:`cone_fingerprints`) keeps its caps there: a clone with
+        the same outputs reuses them, and an edit that changed only
+        cell types or latch lines patches its parent's.
         """
         if self._caps_cache is None:
-            fanout = self.fanout_map()
-            self._caps_cache = {net: self.load_capacitance(net, fanout)
-                                for net in self.nets}
+            snap = getattr(self, "_cone_snap", None)
+            if snap is not None and self._cone_snap_version != self._version:
+                snap = None
+            caps = self._structure_caps(snap) if snap is not None else None
+            if caps is None:
+                fanout = self.fanout_map()
+                caps = {net: self.load_capacitance(net, fanout)
+                        for net in self.nets}
+                if snap is not None and snap.caps is None:
+                    snap.caps, snap.caps_outputs = caps, tuple(self.outputs)
+                    snap.caps_specs = {t: gatelib.LIBRARY.get(t)
+                                       for t in set(snap.types.values())}
+            self._caps_cache = caps
         return self._caps_cache
+
+    def _structure_caps(self, snap: "_ConeStructure"
+                        ) -> Optional[Dict[str, float]]:
+        """Caps from the current cone structure, or ``None``.
+
+        Stored caps are valid only for the outputs and the library
+        entries (by identity: cells can be registered again at run
+        time) they were computed against.  A structure derived by
+        driver edits copies its parent's caps and recomputes the
+        edited drivers' nets and the nets they read, summing
+        consumers in :meth:`fanout_map` order so every float is
+        bit-identical to a rebuild.
+        """
+        outputs = tuple(self.outputs)
+        if snap.caps is not None:
+            if snap.caps_outputs == outputs and _specs_current(
+                    snap.caps_specs):
+                return snap.caps
+            return None
+        base = snap.caps_base
+        if (base is None or base[1] != outputs
+                or not _specs_current(base[2])):
+            return None
+        caps = dict(base[0])
+        specs = dict(base[2])
+        touched: Dict[str, None] = {}
+        for net in base[3]:
+            touched[net] = None
+            touched.update(dict.fromkeys(snap.reads[net]))
+            gate_type = snap.types.get(net)
+            if gate_type is not None:
+                specs[gate_type] = gatelib.LIBRARY.get(gate_type)
+        fanout, reads, driver = snap.fanout(), snap.reads, self._driver
+        for net in touched:
+            if net not in caps:
+                continue
+            consumers: List[Tuple[object, int]] = []
+            for out in fanout.get(net, ()):
+                consumers.extend((driver[out], pin)
+                                 for pin, d in enumerate(reads[out])
+                                 if d == net)
+            consumers.extend([("output", 0)] * outputs.count(net))
+            caps[net] = self.load_capacitance(net, {net: consumers})
+        snap.caps, snap.caps_outputs, snap.caps_specs = caps, outputs, specs
+        snap.caps_base = None
+        return caps
 
     def total_capacitance(self) -> float:
         """Sum of load capacitances over all nets (the C_tot of II-B1)."""
@@ -637,7 +717,10 @@ class Circuit:
         }
 
     def clone(self, name: Optional[str] = None) -> "Circuit":
+        """Independent copy; it starts from this circuit's last cone
+        structure, so its first cone query after an edit only diffs."""
         copy = Circuit(name or self.name)
+        copy._cone_snap = getattr(self, "_cone_snap", None)
         copy.inputs = list(self.inputs)
         copy.outputs = list(self.outputs)
         for g in self.gates:
@@ -658,7 +741,184 @@ class Circuit:
                 f"latches={len(self.latches)})")
 
 
-def _tarjan_sccs(deps: Dict[str, Tuple[str, ...]]) -> List[List[str]]:
+def _latch_line(l: Latch) -> str:
+    return (f"l:{l.data}>{l.output}:{l.init}:"
+            f"{l.enable or ''}:{int(l.clocked)}")
+
+
+def _specs_current(specs: Dict[str, Optional[GateSpec]]) -> bool:
+    """Every recorded cell type still maps to the same library entry."""
+    library = gatelib.LIBRARY
+    return all(library.get(t) is spec for t, spec in specs.items())
+
+
+def _hash_component(scc: Tuple[str, ...],
+                    reads: Dict[str, Tuple[str, ...]],
+                    types: Dict[str, str], latch_lines: Dict[str, str],
+                    fps: Dict[str, str]) -> None:
+    """Write the cone fingerprints of one SCC's members into ``fps``.
+
+    Every fanin outside the SCC must already be in ``fps``.  A net's
+    canonical line is its latch line, else its gate line (cell type,
+    read nets, net), else ``i:<net>`` for a free input.
+    """
+    def line(net: str) -> bytes:
+        text = latch_lines.get(net)
+        if text is None:
+            gate_type = types.get(net)
+            text = (f"i:{net}" if gate_type is None else
+                    f"g:{gate_type}:{','.join(reads[net])}>{net}")
+        return text.encode("utf-8")
+
+    if len(scc) == 1 and scc[0] not in reads[scc[0]]:
+        net = scc[0]
+        h = hashlib.sha256(b"cone/1\x00")
+        h.update(line(net))
+        for d in reads[net]:
+            h.update(b"\x00")
+            h.update(fps[d].encode("ascii"))
+        fps[net] = h.hexdigest()
+        return
+    members = set(scc)
+    h = hashlib.sha256(b"cone-scc/1\x00")
+    for m in sorted(scc):
+        h.update(line(m))
+        for d in reads[m]:
+            h.update(b"\x00")
+            # Internal edges are covered by the member lines (names
+            # included); external fanin by its cone fingerprint.
+            if d not in members:
+                h.update(fps[d].encode("ascii"))
+        h.update(b"\x01")
+    scc_hash = h.hexdigest()
+    for m in scc:
+        fps[m] = hashlib.sha256(
+            f"{scc_hash}|{m}".encode("utf-8")).hexdigest()
+
+
+_structure_serial = itertools.count(1)
+
+
+@dataclass(eq=False, repr=False)
+class _ConeStructure:
+    """Cone structure of one circuit version: one pass, never mutated.
+
+    Holds the read set of every net, the cell type of every gate-driven
+    net and the line of every latch-driven one, the SCCs in dependency
+    order, the cone fingerprints and input supports, and (attached
+    once, by :meth:`Circuit.load_capacitances`) the load caps.  Its
+    dicts are never mutated after construction, so a clone that shares
+    it cannot see its parent's later edits; it holds no
+    :class:`Circuit`, so chains of clones do not pin their ancestors.
+    ``serial`` is unique per structure for the life of the process.
+    """
+
+    inputs: Tuple[str, ...]
+    nets: List[str]
+    n_latches: int
+    reads: Dict[str, Tuple[str, ...]]
+    types: Dict[str, str]
+    latch_lines: Dict[str, str]
+    order: List[Tuple[str, ...]]
+    fps: Dict[str, str]
+    supports: Dict[str, int]
+    serial: int = field(default_factory=lambda: next(_structure_serial))
+    _fanout: Optional[Dict[str, List[str]]] = None
+    _rank: Optional[Dict[str, int]] = None
+    caps: Optional[Dict[str, float]] = None
+    caps_outputs: Tuple[str, ...] = ()
+    caps_specs: Dict[str, Optional[GateSpec]] = field(default_factory=dict)
+    #: (parent caps, their outputs, their specs, changed nets) for a
+    #: structure derived from one that had caps.
+    caps_base: Optional[Tuple[Dict[str, float], Tuple[str, ...],
+                              Dict[str, Optional[GateSpec]],
+                              List[str]]] = None
+
+    @classmethod
+    def build(cls, inputs: Tuple[str, ...], nets: List[str],
+              n_latches: int, reads: Dict[str, Tuple[str, ...]],
+              types: Dict[str, str],
+              latch_lines: Dict[str, str]) -> "_ConeStructure":
+        """Fingerprints and supports from one SCC walk."""
+        order = _tarjan_sccs(reads)
+        input_bit = {net: 1 << i for i, net in enumerate(inputs)}
+        fps: Dict[str, str] = {}
+        masks: Dict[str, int] = {}
+        for scc in order:
+            _hash_component(scc, reads, types, latch_lines, fps)
+            members = scc if len(scc) == 1 else set(scc)
+            mask = 0
+            for m in scc:
+                mask |= input_bit.get(m, 0)
+                for d in reads[m]:
+                    if d not in members:
+                        mask |= masks[d]
+            for m in scc:
+                masks[m] = mask
+        return cls(inputs, nets, n_latches, reads, types, latch_lines,
+                   order, fps, masks)
+
+    def fanout(self) -> Dict[str, List[str]]:
+        """net -> the nets whose drivers read it, once each, in
+        :meth:`Circuit.fanout_map` order (gates, then latches);
+        primary outputs are not listed."""
+        if self._fanout is None:
+            fanout: Dict[str, List[str]] = {}
+            for net, read in self.reads.items():
+                for d in read:
+                    consumers = fanout.setdefault(d, [])
+                    if not consumers or consumers[-1] != net:
+                        consumers.append(net)
+            self._fanout = fanout
+        return self._fanout
+
+    def rank(self) -> Dict[str, int]:
+        """net -> index of its SCC in ``order``."""
+        if self._rank is None:
+            self._rank = {net: i for i, scc in enumerate(self.order)
+                          for net in scc}
+        return self._rank
+
+    def derive(self, new_types: Dict[str, str],
+               new_lines: Dict[str, str]) -> "_ConeStructure":
+        """The structure after the gates in ``new_types`` changed cell
+        type and the latches in ``new_lines`` changed line.
+
+        Read sets are unchanged, so the SCC order, the supports and
+        the fanout carry over; only the changed nets and their
+        transitive fanout are rehashed, a whole SCC at a time, in
+        dependency order.
+        """
+        changed = list(new_types) + list(new_lines)
+        types, latch_lines = self.types, self.latch_lines
+        if new_types:
+            types = dict(types)
+            types.update(new_types)
+        if new_lines:
+            latch_lines = dict(latch_lines)
+            latch_lines.update(new_lines)
+        fanout = self.fanout()
+        rank = self.rank()
+        dirty = set(changed)
+        stack = list(changed)
+        while stack:
+            for consumer in fanout.get(stack.pop(), ()):
+                if consumer not in dirty:
+                    dirty.add(consumer)
+                    stack.append(consumer)
+        fps = dict(self.fps)
+        order, reads = self.order, self.reads
+        for index in sorted({rank[net] for net in dirty}):
+            _hash_component(order[index], reads, types, latch_lines, fps)
+        return _ConeStructure(
+            self.inputs, self.nets, self.n_latches, reads, types,
+            latch_lines, order, fps, self.supports, _fanout=fanout,
+            _rank=rank, caps_base=None if self.caps is None else (
+                self.caps, self.caps_outputs, self.caps_specs, changed))
+
+
+def _tarjan_sccs(deps: Dict[str, Tuple[str, ...]]
+                 ) -> List[Tuple[str, ...]]:
     """Strongly connected components of a dependency graph, iterative.
 
     Emits components in reverse topological order — every component
@@ -672,7 +932,7 @@ def _tarjan_sccs(deps: Dict[str, Tuple[str, ...]]) -> List[List[str]]:
     low: Dict[str, int] = {}
     on_stack: Set[str] = set()
     stack: List[str] = []
-    sccs: List[List[str]] = []
+    sccs: List[Tuple[str, ...]] = []
     counter = 0
     for root in deps:
         if root in index:
@@ -706,7 +966,7 @@ def _tarjan_sccs(deps: Dict[str, Tuple[str, ...]]) -> List[List[str]]:
                     scc.append(w)
                     if w == node:
                         break
-                sccs.append(scc)
+                sccs.append(tuple(scc))
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])

@@ -47,14 +47,33 @@ from repro.obs.manifest import run_manifest
 __all__ = ["discover_benches", "run_bench", "run_sweep",
            "gate_regressions", "main", "SMOKE_BENCHES"]
 
-#: Quick, deterministic subset exercised by ``--smoke`` (CI) runs:
-#: one estimation bench, two optimization benches (Fig. 3 shutdown and
-#: the Section III-J retiming claim, the timed engine's main consumer),
-#: and the perf benches (the regression-gate inputs).
+#: Benches exercised by ``--smoke`` (CI) runs: all 21 paper-claim
+#: benches (each reproduces one Table I row, figure or text claim in
+#: 1-5 s with no timing gate, so the reproduction itself cannot
+#: regress silently) and the perf benches (the regression-gate
+#: inputs).
 SMOKE_BENCHES = [
+    "bench_c1_profile_synthesis.py",
     "bench_c2_entropy.py",
+    "bench_c3_tyagi.py",
+    "bench_c4_complexity.py",
+    "bench_c5_macromodel.py",
+    "bench_c6_sampling.py",
+    "bench_c7_predictive.py",
+    "bench_c8_allocation.py",
+    "bench_c9_multivoltage.py",
+    "bench_c10_bus_encoding.py",
+    "bench_c11_fsm_encoding.py",
+    "bench_c12_scheduling.py",
+    "bench_c13_cold_scheduling.py",
+    "bench_fig2_memory.py",
     "bench_fig3_shutdown.py",
+    "bench_fig45_polynomial.py",
+    "bench_fig6_precompute.py",
+    "bench_fig7_gated_clock.py",
+    "bench_fig8_guarded.py",
     "bench_fig9_retiming.py",
+    "bench_table1_fir.py",
     "bench_perf_fastsim.py",
     "bench_perf_bdd.py",
     "bench_perf_eventsim.py",
@@ -145,7 +164,9 @@ def run_bench(bench: Path, timeout: float, trace: bool = True,
     """Run one bench file under pytest in a subprocess.
 
     Returns the BENCH_ALL entry: status in {ok, failed, timeout},
-    duration, attempt count, and (on failure) the output tail.  Never
+    duration, attempt count, (on failure) the output tail, and (after
+    any retry) the first failed attempt's status, return code and
+    output tail under ``first_failure``.  Never
     raises — an un-runnable bench is a *result*, not an error.
     ``store_dir`` exports ``REPRO_STORE`` so all benches share one
     plan store (a structure compiled by any bench rehydrates in every
@@ -196,12 +217,15 @@ def run_bench(bench: Path, timeout: float, trace: bool = True,
             digest = _telemetry_digest(telemetry_path)
             if digest is not None:
                 entry["telemetry"] = digest
+        tail = output.strip().splitlines()[-12:]
         if status == "ok" or attempts > retries:
             if status != "ok":
-                tail = output.strip().splitlines()[-12:]
                 entry["output_tail"] = tail
             return entry
-        # else: retry once more
+        # Retry; a pass on a later attempt keeps why the first failed.
+        entry.setdefault("first_failure", {
+            "status": status, "returncode": returncode,
+            "output_tail": tail})
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,8 @@ Protocol (JSON over HTTP; responses to ``/estimate`` stream as
 NDJSON, one line per completed job, completion order):
 
 - ``GET  /healthz``   liveness + pool shape
-- ``GET  /stats``     job counters, latency percentiles, store stats
+- ``GET  /stats``     job counters, latency percentiles, worker store
+                      hits/misses
 - ``GET  /telemetry`` the full :mod:`repro.obs` export
 - ``POST /estimate``  ``{"jobs": [JOB, ...]}``
 - ``POST /shutdown``  graceful stop
@@ -400,6 +401,8 @@ class EstimationServer:
         self._latencies: deque = deque(maxlen=_LATENCY_WINDOW)
         self._counters = {"requests": 0, "jobs": 0, "jobs_failed": 0,
                           "batches": 0}
+        #: Plan-store traffic the pool workers report per job.
+        self._store = {"hits": 0, "misses": 0}
         self._lock = threading.Lock()
         self._started = time.time()
 
@@ -517,6 +520,8 @@ class EstimationServer:
                 misses += merged.get("store_misses", 0)
                 with self._lock:
                     self._latencies.append(merged.get("elapsed_ms", 0.0))
+                    self._store["hits"] += merged.get("store_hits", 0)
+                    self._store["misses"] += merged.get("store_misses", 0)
                     self._counters["jobs"] += 1
                     if not merged.get("ok"):
                         self._counters["jobs_failed"] += 1
@@ -540,8 +545,12 @@ class EstimationServer:
         }
 
     def stats(self) -> Dict[str, Any]:
+        """Counters, latency percentiles, and the plan-store traffic
+        of the pool workers (the jobs run there, not in the HTTP
+        process)."""
         with self._lock:
             counters = dict(self._counters)
+            store = dict(self._store)
             lat = sorted(self._latencies)
         quantiles = {}
         if lat:
@@ -555,6 +564,7 @@ class EstimationServer:
                 "p99_ms": round(q(0.99), 3),
                 "max_ms": round(lat[-1], 3),
             }
+        served = store["hits"] + store["misses"]
         return {
             "pid": os.getpid(),
             "workers": self.workers,
@@ -562,7 +572,8 @@ class EstimationServer:
             "store_dir": self._store_dir,
             "counters": counters,
             "latency": quantiles,
-            "store": artifact_store.get_store().stats(),
+            "store": dict(store, hit_rate=round(
+                store["hits"] / served, 4) if served else 0.0),
         }
 
 

@@ -147,6 +147,30 @@ class TestBenchOrchestrator:
         assert entry["attempts"] == 1
         assert entry["duration_s"] < 15
 
+    def test_retry_pass_keeps_first_failure(self, tmp_path):
+        """A bench that fails once and passes on retry still records
+        why its first attempt failed."""
+        bench = tmp_path / "bench_flaky.py"
+        bench.write_text(textwrap.dedent("""
+            from pathlib import Path
+
+            MARKER = Path(__file__).with_name("ran_once")
+
+            def test_flaky():
+                if not MARKER.exists():
+                    MARKER.write_text("x")
+                    raise RuntimeError("first attempt flaked")
+        """))
+        entry = runner.run_bench(bench, timeout=60, trace=False,
+                                 retries=1)
+        assert entry["status"] == "ok"
+        assert entry["attempts"] == 2
+        first = entry["first_failure"]
+        assert first["status"] == "failed" and first["returncode"] == 1
+        assert any("first attempt flaked" in line
+                   for line in first["output_tail"])
+        assert "output_tail" not in entry
+
     def test_filter_and_json_output(self, scratch_benches, capsys):
         rc = main(["bench", "--bench-dir", str(scratch_benches),
                    "--filter", "pass", "--timeout", "30", "--json"])

@@ -327,6 +327,104 @@ class TestEstimator:
 
 
 # ----------------------------------------------------------------------
+# estimate_delta primes each base once
+# ----------------------------------------------------------------------
+class TestPrimeMemo:
+    """``estimate_delta`` skips re-priming a base whose records are
+    resident; reports and DeltaStats never depend on the skip."""
+
+    @pytest.fixture
+    def lockstep(self, monkeypatch):
+        """``(base_runs, step)``: ``step`` runs ``estimate_delta`` and,
+        beside it on its own cache, a run that primes every time."""
+        real = inc.delta_activity
+        base_runs = []
+        reference = inc.ConeCache()
+
+        def counting(circuit, *args, **kwargs):
+            if circuit is self.base:
+                base_runs.append(kwargs.get("engine"))
+            return real(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(inc, "delta_activity", counting)
+
+        def step(variant, vectors, engine=None, cache=None):
+            got, stats = inc.estimate_delta(self.base, variant, vectors,
+                                            engine=engine, cache=cache)
+            real(self.base, vectors, engine=engine, cache=reference)
+            _, want = real(variant, vectors, engine=engine,
+                           cache=reference)
+            assert inc.reports_equal(
+                got, collect_activity(variant, vectors, engine=engine))
+            assert stats == want
+
+        self.reference = reference
+        return base_runs, step
+
+    def setup_method(self):
+        self.base = random_logic(6, 80, 3, seed=12)
+        self.vectors = random_packed_vectors(list(self.base.inputs), 64,
+                                             seed=1)
+        self.variants = [edit_gates(self.base, [k], random.Random(k))
+                         for k in range(8)]
+
+    def test_second_call_skips_the_prime(self, lockstep):
+        base_runs, step = lockstep
+        step(self.variants[0], self.vectors)
+        step(self.variants[1], self.vectors)
+        assert len(base_runs) == 1
+
+    def test_primes_again_after_clear(self, lockstep):
+        base_runs, step = lockstep
+        step(self.variants[0], self.vectors)
+        inc.clear_cone_cache()
+        self.reference.clear()
+        step(self.variants[1], self.vectors)
+        assert len(base_runs) == 2
+
+    def test_primes_again_after_eviction(self, lockstep):
+        base_runs, step = lockstep
+        cache = inc.ConeCache()
+        step(self.variants[0], self.vectors, cache=cache)
+        # Room for nothing more: the next variant's records evict.
+        cache.max_bytes = cache._bytes
+        self.reference.max_bytes = self.reference._bytes
+        step(self.variants[1], self.vectors, cache=cache)
+        assert len(base_runs) == 1 and cache.evictions
+        step(self.variants[2], self.vectors, cache=cache)
+        assert len(base_runs) == 2
+
+    def test_prime_that_evicts_is_not_remembered(self, lockstep):
+        base_runs, step = lockstep
+        cache = inc.ConeCache(max_bytes=1024)
+        self.reference.max_bytes = 1024
+        step(self.variants[0], self.vectors, cache=cache)
+        step(self.variants[1], self.vectors, cache=cache)
+        assert len(base_runs) == 2
+
+    def test_primes_again_for_another_stimulus_or_engine(self, lockstep):
+        base_runs, step = lockstep
+        other = random_packed_vectors(list(self.base.inputs), 64, seed=2)
+        step(self.variants[0], self.vectors)
+        step(self.variants[1], other)
+        step(self.variants[2], self.vectors, engine="reference")
+        assert base_runs == [None, None, "reference"]
+        step(self.variants[3], other)
+        step(self.variants[4], self.vectors, engine="reference")
+        assert len(base_runs) == 3
+
+    def test_primes_again_after_the_base_changes(self, lockstep):
+        base_runs, step = lockstep
+        step(self.variants[0], self.vectors)
+        gate = next(g for g in self.base.gates
+                    if g.gate_type in GATE_TYPES and len(g.inputs) == 2)
+        gate.gate_type = "AND2" if gate.gate_type != "AND2" else "OR2"
+        self.base.invalidate()
+        step(self.variants[1], self.vectors)
+        assert len(base_runs) == 2
+
+
+# ----------------------------------------------------------------------
 # Rewired optimization passes
 # ----------------------------------------------------------------------
 class TestPasses:

@@ -1,5 +1,6 @@
 """Tests for the gate library, netlist, and simulators."""
 
+import dataclasses
 import itertools
 import random
 
@@ -283,3 +284,171 @@ class TestProperties:
             settled = sim.step(vec)
             reference = evaluate(circuit, vec)
             assert all(settled[n] == reference[n] for n in circuit.outputs)
+
+
+# ----------------------------------------------------------------------
+# Cone structure carried across clone() and invalidate()
+# ----------------------------------------------------------------------
+SAME_ARITY = {1: ("INV", "BUF"),
+              2: ("AND2", "OR2", "XOR2", "NAND2", "NOR2", "XNOR2"),
+              3: ("NAND3", "NOR3", "AOI21")}
+
+
+def sequential_circuit(rng: random.Random) -> Circuit:
+    """Random gates over inputs and flop outputs, with every flop's
+    data (and some enables) driven back from the gates: latch
+    feedback loops plus load-enable registers."""
+    c = Circuit("seq")
+    c.add_inputs([f"i{k}" for k in range(rng.randint(2, 4))])
+    n_latches = rng.randint(1, 3)
+    for k in range(n_latches):
+        c.add_latch(f"d{k}", output=f"q{k}", init=rng.randint(0, 1),
+                    enable=f"e{k}" if rng.random() < 0.5 else None)
+    nets = list(c.inputs) + [l.output for l in c.latches]
+    for _ in range(rng.randint(4, 14)):
+        arity = rng.choice((1, 2, 2, 3))
+        nets.append(c.add_gate(rng.choice(SAME_ARITY[arity]),
+                               [rng.choice(nets) for _ in range(arity)]))
+    for latch in c.latches:
+        c.add_gate("BUF", [rng.choice(nets)], output=latch.data)
+        if latch.enable is not None:
+            c.add_gate("OR2", [rng.choice(nets), rng.choice(nets)],
+                       output=latch.enable)
+    c.add_output(nets[-1])
+    return c
+
+
+def apply_edit(c: Circuit, kind: str, rng: random.Random) -> None:
+    """One in-place edit of ``kind``, then ``invalidate()``."""
+    gates = [g for g in c.gates if len(g.inputs) in SAME_ARITY]
+    if kind == "retype" and gates:
+        g = rng.choice(gates)
+        g.gate_type = rng.choice([t for t in SAME_ARITY[len(g.inputs)]
+                                  if t != g.gate_type])
+    elif kind == "rewire" and gates:
+        # An earlier net keeps the gate list topologically ordered.
+        index = rng.randrange(len(c.gates))
+        g = c.gates[index]
+        if g.inputs:
+            earlier = (list(c.inputs) + [l.output for l in c.latches]
+                       + [h.output for h in c.gates[:index]])
+            g.inputs[rng.randrange(len(g.inputs))] = rng.choice(earlier)
+    elif kind == "add_gate":
+        arity = rng.choice((1, 2))
+        c.add_gate(rng.choice(SAME_ARITY[arity]),
+                   [rng.choice(c.nets) for _ in range(arity)])
+    elif kind == "remove_gate" and c.gates:
+        # Its readers are left reading an undriven net.
+        g = c.gates.pop(rng.randrange(len(c.gates)))
+        del c._driver[g.output]
+    elif kind == "add_output":
+        c.add_output(rng.choice(c.nets))
+    elif kind == "enable":
+        latch = rng.choice(c.latches)
+        latch.enable = (None if latch.enable is not None
+                        else rng.choice(c.nets))
+    elif kind == "init":
+        latch = rng.choice(c.latches)
+        latch.init ^= 1
+    elif kind == "data":
+        latch = rng.choice(c.latches)
+        latch.data = rng.choice(c.nets)
+    c.invalidate()
+
+
+def fanout_names(c: Circuit):
+    return {net: [(getattr(consumer, "output", consumer), pin)
+                  for consumer, pin in consumers]
+            for net, consumers in c.fanout_map().items()}
+
+
+def structure(c: Circuit, with_caps: bool = True):
+    """Everything the reuse must reproduce, in comparable form."""
+    got = (c.cone_fingerprints(), c.cone_supports())
+    if with_caps:
+        caps = c.load_capacitances()
+        got += (fanout_names(c), caps, list(caps))
+    return got
+
+
+EDIT_KINDS = ("retype", "rewire", "add_gate", "remove_gate",
+              "add_output", "enable", "init", "data")
+
+
+class TestConeStructureReuse:
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10**6),
+           edits=st.lists(st.tuples(st.sampled_from(EDIT_KINDS),
+                                    st.sampled_from((None, "cone",
+                                                     "all"))),
+                          min_size=1, max_size=10))
+    def test_edit_sequences_match_scratch(self, seed, edits):
+        """Derived structure == a from-scratch rebuild, after any
+        sequence of edits with queries at random points."""
+        rng = random.Random(seed)
+        parent = sequential_circuit(rng)
+        structure(parent)
+        c = parent.clone()
+        for kind, query in edits:
+            apply_edit(c, kind, rng)
+            if query is not None:
+                with_caps = query == "all"
+                scratch = Circuit.from_dict(c.to_dict())
+                assert structure(c, with_caps) == structure(scratch,
+                                                            with_caps)
+        scratch = Circuit.from_dict(c.to_dict())
+        assert structure(c) == structure(scratch)
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 10**6),
+           edits=st.lists(st.sampled_from(EDIT_KINDS), min_size=1,
+                          max_size=6))
+    def test_parent_edits_never_reach_a_clone(self, seed, edits):
+        rng = random.Random(seed)
+        parent = sequential_circuit(rng)
+        structure(parent)
+        c = parent.clone()
+        before = structure(c)
+        for kind in edits:
+            apply_edit(parent, kind, rng)
+            structure(parent)
+        assert structure(c) == before
+        assert before == structure(Circuit.from_dict(c.to_dict()))
+
+    def test_retype_carries_supports_rewire_rebuilds(self):
+        """A same-arity retype keeps the read sets, so the clone's
+        supports are its parent's; a rewire recomputes them."""
+        base = random_logic(6, 60, 3, seed=3)
+        base.cone_fingerprints()
+        retyped = base.clone()
+        g = retyped.gates[10]
+        g.gate_type = "XNOR2" if g.gate_type != "XNOR2" else "XOR2"
+        retyped.invalidate()
+        assert retyped.cone_supports() is base.cone_supports()
+        assert retyped.cone_fingerprints() != base.cone_fingerprints()
+        rewired = base.clone()
+        g = rewired.gates[10]
+        g.inputs[0] = next(n for n in rewired.inputs if n != g.inputs[0])
+        rewired.invalidate()
+        assert rewired.cone_supports() is not base.cone_supports()
+        for c in (retyped, rewired):
+            assert structure(c) == structure(Circuit.from_dict(c.to_dict()))
+
+    def test_library_change_recomputes_caps(self):
+        """Caps are reused only while each cell type maps to the same
+        library entry."""
+        base = random_logic(6, 40, 3, seed=5)
+        base.cone_fingerprints()
+        caps = base.load_capacitances()
+        gate_type = base.gates[0].gate_type
+        original = LIBRARY[gate_type]
+        LIBRARY[gate_type] = dataclasses.replace(
+            original, output_cap=original.output_cap + 1.0)
+        try:
+            clone = base.clone()
+            clone.cone_fingerprints()
+            assert clone.load_capacitances() != caps
+            assert structure(clone) == structure(
+                Circuit.from_dict(clone.to_dict()))
+        finally:
+            LIBRARY[gate_type] = original

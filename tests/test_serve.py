@@ -78,6 +78,20 @@ class TestEndpoints:
         assert "p99_ms" in stats["latency"]
         assert "hit_rate" in stats["store"]
 
+    def test_stats_store_counts_worker_traffic(self, client):
+        """The jobs run in the pool workers, so ``/stats`` must sum
+        their store traffic, not read the HTTP process's own store."""
+        jobs = [_job("ripple_carry_adder", {"width": 6}, cycles=128,
+                     seed=k) for k in range(3)]
+        before = client.stats()["store"]
+        summaries = [client.estimate(jobs)["summary"] for _ in range(2)]
+        after = client.stats()["store"]
+        hits = sum(s["store_hits"] for s in summaries)
+        misses = sum(s["store_misses"] for s in summaries)
+        assert hits > 0
+        assert after["hits"] - before["hits"] == hits
+        assert after["misses"] - before["misses"] == misses
+
     def test_telemetry_export_shape(self, client):
         telemetry = client.telemetry()
         assert telemetry["schema"] == obs.SCHEMA
