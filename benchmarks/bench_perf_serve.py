@@ -5,12 +5,12 @@ Not a paper figure: this bench guards the serving-layer claim behind
 repeated estimation of the same structure from a recompile into a
 rehydrate.  Two measurements land in ``BENCH_serve.json``:
 
-- ``warm_vs_cold_sharded``: end-to-end sharded ``timed_activity``
-  with every process forced to recompile (cold) vs. the same run
-  rehydrating plans from a pre-seeded disk store (warm).  The warm
-  path must win by >= 1.5x; the measured ratio is recorded under
-  ``speedup`` so the orchestrator's regression gate tracks it against
-  the committed baseline.
+- ``warm_vs_cold``: end-to-end ``timed_activity`` forced to recompile
+  its plans (cold) vs. the same run rehydrating them from a
+  pre-seeded disk store (warm).  The warm path must win by >= 1.5x;
+  the measured ratio is recorded under ``speedup`` so the
+  orchestrator's regression gate tracks it against the committed
+  baseline.
 - ``loadgen``: a mixed batch of >= 1000 estimation jobs pushed
   through a live :class:`repro.serve.EstimationServer`, recording
   p50/p99 job latency, throughput, and the plan-store hit rate.
@@ -34,27 +34,24 @@ RESULTS_PATH = REPO_ROOT / "BENCH_serve.json"
 #: the only cross-round channel is the plan store under test.
 _SEED = 7
 _CYCLES = 512
-_WORKERS = 2
 
 
 def _circuit():
     return random_logic(20, 700, 8, seed=_SEED)
 
 
-def _sharded_run(circuit, vectors):
-    return fasttimer.timed_activity(circuit, vectors,
-                                    workers=_WORKERS, engine="fast")
+def _timed_run(circuit, vectors):
+    return fasttimer.timed_activity(circuit, vectors, engine="fast")
 
 
-def test_perf_warm_vs_cold_sharded(once):
-    """Warm-store sharded fasttimer >= 1.5x over cold recompile.
+def test_perf_warm_vs_cold(once):
+    """Warm-store fasttimer >= 1.5x over cold recompile.
 
-    Cold rounds run with a zero-capacity store, so the parent and
-    every forked shard worker compiles its plans from scratch — the
-    pre-store behavior.  Warm rounds install a fresh
-    :class:`ArtifactStore` over a pre-seeded directory, so every
-    process rehydrates instead (the mem layer starts empty: this is
-    the disk-crossing path a new pool worker takes).
+    Cold rounds run with a zero-capacity store, so every round
+    compiles its plans from scratch — the pre-store behavior.  Warm
+    rounds install a fresh :class:`ArtifactStore` over a pre-seeded
+    directory, so every round rehydrates instead (the mem layer starts
+    empty: this is the disk-crossing path a new pool worker takes).
     """
     vectors = fastsim.random_packed_vectors(
         _circuit().inputs, _CYCLES, seed=3)
@@ -67,19 +64,19 @@ def test_perf_warm_vs_cold_sharded(once):
                 # -- cold: nothing caches, everything recompiles ----
                 artifact_store.set_store(
                     ArtifactStore(root=None, mem_entries=0))
-                cold_report = _sharded_run(_circuit(), vectors)
+                cold_report = _timed_run(_circuit(), vectors)
                 t_cold = measure(
-                    lambda: _sharded_run(_circuit(), vectors),
+                    lambda: _timed_run(_circuit(), vectors),
                     repeats=3)
 
                 # -- seed the disk store once ----------------------
                 artifact_store.set_store(ArtifactStore(root=tmp))
-                _sharded_run(_circuit(), vectors)
+                _timed_run(_circuit(), vectors)
 
                 # -- warm: fresh store instance, same directory ----
                 def warm_run():
                     artifact_store.set_store(ArtifactStore(root=tmp))
-                    return _sharded_run(_circuit(), vectors)
+                    return _timed_run(_circuit(), vectors)
 
                 warm_report = warm_run()
                 t_warm = measure(warm_run, repeats=3)
@@ -95,16 +92,15 @@ def test_perf_warm_vs_cold_sharded(once):
           and warm_report.glitches == cold_report.glitches)
 
     speedup = t_cold / max(t_warm, 1e-9)
-    record(RESULTS_PATH, "warm_vs_cold_sharded", {
+    record(RESULTS_PATH, "warm_vs_cold", {
         "circuit": f"random_logic(20, 700, 8, seed={_SEED})",
         "cycles": _CYCLES,
-        "workers": _WORKERS,
         "cold_s": round(t_cold, 6),
         "warm_s": round(t_warm, 6),
         "speedup": round(speedup, 2),
     })
     print()
-    print(f"Perf: sharded fasttimer, cold {t_cold * 1e3:.1f} ms vs "
+    print(f"Perf: fasttimer, cold {t_cold * 1e3:.1f} ms vs "
           f"warm store {t_warm * 1e3:.1f} ms  ->  {speedup:.1f}x")
     shape(f"warm store >= 1.5x over cold recompile (got "
           f"{speedup:.2f}x)", speedup >= 1.5)

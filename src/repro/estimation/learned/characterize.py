@@ -15,18 +15,16 @@ dataset *and* registered in the :mod:`repro.obs` run manifest
 fingerprint, so any exported telemetry names exactly the stimuli that
 trained each model.
 
-Population sweeps fan out over a process pool; workers inherit
-``REPRO_STORE`` so compiled simulation plans rehydrate from the
-content-addressed store instead of recompiling per worker — the
-cheap-thousands-of-sims property the serving layer bought us.
+Population sweeps run through the candidate-search executor
+(:func:`repro.optimization.search.evaluate_candidates`), one design
+per candidate, serial or over its pool.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.estimation.learned.features import (
@@ -39,6 +37,7 @@ from repro.estimation.learned.features import (
     window_features,
     window_slices,
 )
+from repro.optimization.search import SearchContext, evaluate_candidates
 from repro.util import seeding
 
 __all__ = [
@@ -59,11 +58,6 @@ POPULATION: List[Dict[str, Any]] = [
     {"name": "cmp_gt8", "component": "cmp_gt", "width": 8},
     {"name": "cmp_eq8", "component": "cmp_eq", "width": 8},
 ]
-
-#: Seed recurrence multiplier — kept as the canonical spawn-key
-#: stride in :mod:`repro.util.seeding` (fixed forever so old datasets
-#: stay reproducible; every derived-seed consumer now shares it).
-_SEED_STRIDE = seeding.STRIDE
 
 _STYLES = ("random", "biased", "ar1", "counter", "quiet")
 
@@ -139,6 +133,18 @@ class WindowDataset:
 
 def _run_seed(base: int, k: int) -> int:
     return seeding.child_seed(base, k)
+
+
+def _record_provenance(dataset: WindowDataset) -> None:
+    """Register ``dataset``'s seeds in the obs run manifest."""
+    obs.add_run_record("learned.characterization", {
+        "name": dataset.name,
+        "fingerprint": dataset.fingerprint,
+        "seed": dataset.seed,
+        "run_seeds": [r.seed for r in dataset.runs],
+        "windows": len(dataset),
+        "config_key": dataset.config.key(),
+    })
 
 
 # ----------------------------------------------------------------------
@@ -262,14 +268,7 @@ def characterize_circuit(circuit, config: Optional[FeatureConfig] = None,
             seed=seed,
             structural=structural,
         )
-    obs.add_run_record("learned.characterization", {
-        "name": dataset.name,
-        "fingerprint": dataset.fingerprint,
-        "seed": seed,
-        "run_seeds": [r.seed for r in run_meta],
-        "windows": len(dataset),
-        "config_key": config.key(),
-    })
+    _record_provenance(dataset)
     obs.inc("learned.characterize.windows", len(dataset))
     return dataset
 
@@ -349,14 +348,7 @@ def characterize_component(component,
         seed=seed,
         structural=structural,
     )
-    obs.add_run_record("learned.characterization", {
-        "name": dataset.name,
-        "fingerprint": dataset.fingerprint,
-        "seed": seed,
-        "run_seeds": [r.seed for r in run_meta],
-        "windows": len(dataset),
-        "config_key": config.key(),
-    })
+    _record_provenance(dataset)
     return dataset
 
 
@@ -387,19 +379,24 @@ def build_spec(spec: Dict[str, Any]):
     raise ValueError("population spec needs 'component' or 'generator'")
 
 
-def _characterize_spec(args: Tuple[Dict[str, Any], Dict[str, Any],
-                                   int, int, int]) -> Dict[str, Any]:
-    """Pool worker: characterize one spec, return the dataset dict."""
-    spec, config_dict, cycles, seed, runs = args
-    config = FeatureConfig.from_dict(config_dict)
+def _characterize_spec(spec: Dict[str, Any],
+                       ctx: SearchContext) -> Tuple[Dict[str, Any], int]:
+    """Characterize one spec; ``(dataset dict, pid that built it)``.
+
+    ``ctx.seed`` is the spec's spawn-key seed; ``ctx.extras`` carries
+    the shared config, cycles and runs.
+    """
+    config = FeatureConfig.from_dict(ctx.extras["config"])
+    cycles, runs = ctx.extras["cycles"], ctx.extras["runs"]
     name, target = build_spec(spec)
     if hasattr(target, "circuit"):          # RtlComponent
         dataset = characterize_component(target, config, cycles=cycles,
-                                         seed=seed, runs=runs)
+                                         seed=ctx.seed, runs=runs)
     else:
         dataset = characterize_circuit(target, config, cycles=cycles,
-                                       seed=seed, runs=runs, name=name)
-    return dataset.to_dict()
+                                       seed=ctx.seed, runs=runs,
+                                       name=name)
+    return dataset.to_dict(), os.getpid()
 
 
 def characterize_population(specs: Optional[Sequence[Dict[str, Any]]]
@@ -407,35 +404,26 @@ def characterize_population(specs: Optional[Sequence[Dict[str, Any]]]
                             config: Optional[FeatureConfig] = None,
                             cycles: int = 1024, seed: int = 0,
                             runs: int = 10,
-                            workers: Optional[int] = None
+                            workers: Union[int, str, None] = None
                             ) -> List[WindowDataset]:
     """Characterize a population of designs, optionally in parallel.
 
-    Per-design seeds derive deterministically from ``seed`` and the
-    spec's position, so the sweep is reproducible regardless of the
-    worker count; each worker's plan compilations land in the shared
-    ``REPRO_STORE`` when one is configured.
+    Specs are :func:`evaluate_candidates` candidates (``workers`` takes
+    its grammar); spec ``i`` draws ``_run_seed(seed, i)`` for any
+    worker count.  Records of datasets built in pool workers are
+    mirrored here, so each dataset is recorded once in this manifest.
     """
     specs = list(POPULATION if specs is None else specs)
     config = config or FeatureConfig()
-    jobs = [(spec, config.to_dict(), cycles, _run_seed(seed, i), runs)
-            for i, spec in enumerate(specs)]
-    if workers is None:
-        workers = min(len(jobs), max(1, (os.cpu_count() or 2) - 1))
-    if workers <= 1 or len(jobs) <= 1:
-        dicts = [_characterize_spec(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            dicts = list(pool.map(_characterize_spec, jobs))
-        # Workers recorded provenance in their own processes; mirror
-        # it in the coordinating process's manifest too.
-        for d in dicts:
-            obs.add_run_record("learned.characterization", {
-                "name": d["name"],
-                "fingerprint": d["fingerprint"],
-                "seed": d["seed"],
-                "run_seeds": [r["seed"] for r in d["runs"]],
-                "windows": len(d["rows"]),
-                "config_key": config.key(),
-            })
-    return [WindowDataset.from_dict(d) for d in dicts]
+    built = evaluate_candidates(
+        _characterize_spec, specs,
+        extras={"config": config.to_dict(), "cycles": cycles,
+                "runs": runs},
+        workers=workers, seed=seed, label="learned.characterize")
+    datasets = []
+    for d, pid in built:
+        dataset = WindowDataset.from_dict(d)
+        if pid != os.getpid():
+            _record_provenance(dataset)
+        datasets.append(dataset)
+    return datasets

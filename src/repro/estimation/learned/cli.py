@@ -21,9 +21,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 __all__ = ["main", "build_parser"]
+
+
+def _workers(text: str) -> Union[int, str]:
+    """A ``--workers`` value: a positive integer or ``auto``."""
+    if text.strip().lower() == "auto":
+        return "auto"
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer or 'auto', got {text!r}")
+    return n
 
 
 def _population(names: Optional[Sequence[str]] = None):
@@ -179,8 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runs", type=int, default=8)
         p.add_argument("--window", type=int, default=64)
         p.add_argument("--max-signals", type=int, default=16)
-        p.add_argument("--workers", type=int, default=None,
-                       help="characterization worker processes")
+        p.add_argument("--workers", type=_workers, default="auto",
+                       metavar="N|auto",
+                       help="characterization worker processes "
+                            "(default: auto, the CPU count)")
 
     p = sub.add_parser("characterize",
                        help="generate labeled window datasets")

@@ -154,15 +154,11 @@ def adaptive_power(model: MacroModel, component: RtlComponent,
 
 def gate_reference_power(component: RtlComponent,
                          streams: Sequence[WordStream],
-                         timed: bool = False,
-                         workers: Optional[int] = None) -> SamplingResult:
+                         timed: bool = False) -> SamplingResult:
     """Full gate-level simulation (the expensive ground truth).
 
-    ``timed=True`` uses the glitch-aware tick-wheel engine; ``workers``
-    then shards long streams across processes (the merged report is
-    bit-identical to a serial run).
+    ``timed=True`` uses the glitch-aware tick-wheel engine.
     """
     length = min(len(s) for s in streams)
-    power = component.reference_power(streams, timed=timed,
-                                      workers=workers)
+    power = component.reference_power(streams, timed=timed)
     return SamplingResult(power, 0, length)

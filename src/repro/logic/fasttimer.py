@@ -21,10 +21,10 @@ N cycles bit-parallel, one bignum word per (net, tick):
   generated, so a never-seen design costs a table build, not a
   ``compile()`` of a straight-line kernel.
 - The table is also the artifact-store payload (JSON, no code), so
-  shard workers and server workers rehydrate data: every index and
-  cell type is validated before binding, and a payload that fails
-  (including one holding a compiled kernel from an older version) is
-  a counted miss followed by a rebuild.
+  pool workers (search sweeps, the estimation service) rehydrate
+  data: every index and cell type is validated before binding, and a
+  payload that fails (including one holding a compiled kernel from an
+  older version) is a counted miss followed by a rebuild.
 - The key observation that makes lanes independent: the *settled*
   value of every net in a cycle is delay-free (equal to the
   zero-delay evaluation), so fastsim's packed functional simulation
@@ -41,11 +41,8 @@ N cycles bit-parallel, one bignum word per (net, tick):
 
 :func:`timed_batch` runs one batch and returns raw
 :class:`BatchCounts` for ``EventSimulator`` to merge;
-:func:`timed_activity` is the standalone batch API with optional
-multiprocessing sharding of long vector streams (lanes are
-independent given the functional settle, so shards simply re-derive
-their boundary state from the packed functional words and partial
-reports merge by summation).
+:func:`timed_activity` is the standalone batch API and
+:func:`timed_activity_cached` its run-level memo.
 """
 
 from __future__ import annotations
@@ -551,134 +548,22 @@ def timed_batch(circuit: Circuit, vectors: Stimulus,
 
 
 # ----------------------------------------------------------------------
-# Standalone batch API + multiprocessing sharding
+# Standalone batch API
 # ----------------------------------------------------------------------
-#: Lanes below which a shard is not worth a worker process.
-_MIN_SHARD = 256
-
-
-def _timed_batch_star(args) -> BatchCounts:
-    """Module-level worker target (must be picklable)."""
-    return timed_batch(*args)
-
-
 def timed_activity(circuit: Circuit, vectors: Stimulus,
-                   workers: Optional[int] = None,
                    engine: Optional[str] = None):
     """Timed :class:`ActivityReport` for ``vectors`` from reset.
 
-    Equivalent to ``EventSimulator(circuit, engine=engine).run(vectors)``
-    on a fresh simulator.  ``engine`` is "fast" (the default) or
-    "reference".  With ``workers > 1`` (fast engine only) the lanes
-    are split into contiguous shards evaluated in parallel processes:
-    each shard re-derives its boundary state from the packed
-    functional settle, partial counts merge by summation, and the
-    result is bit-identical to the serial run.
+    The report of ``EventSimulator(circuit, engine=engine).run(vectors)``
+    on a fresh simulator; ``engine`` is "fast" (the default) or
+    "reference".
     """
     from repro.logic.eventsim import EventSimulator
-    from repro.logic.simulate import ActivityReport, evaluate
 
-    if not isinstance(vectors, PackedVectors):
-        vecs = list(vectors)
-        try:
-            vectors = PackedVectors.from_vectors(circuit.inputs, vecs)
-        except KeyError:
-            # Unspecified inputs hold their value only in the
-            # reference engine; let the simulator handle it.
-            return EventSimulator(circuit, engine=engine).run(vecs)
-    n = vectors.n
-    resolved = resolve_engine(engine)
-    if resolved == "reference" or not workers or workers <= 1 \
-            or n < 2 * _MIN_SHARD:
-        return EventSimulator(circuit, engine=resolved).run(vectors)
-
-    try:
-        plan = compile_timed(circuit)
-        in_words, _ = fastsim._pack_inputs(circuit, vectors)
-    except (CompileError, KeyError):
-        return EventSimulator(circuit, engine=resolved).run(vectors)
-
-    with obs.span("fasttimer.sharded", circuit=circuit.name,
-                  workers=workers) as sp:
-        func = plan.func
-        nets = func.nets
-        reset_state = {l.output: l.init for l in circuit.latches}
-        reset_values = evaluate(
-            circuit, {name: 0 for name in circuit.inputs}, reset_state)
-
-        # One cheap functional pass gives every shard its boundary
-        # conditions: the settled values just before its first lane
-        # and the latch state entering it.
-        settled = _settled_words(func, in_words, n, reset_state)
-
-        n_shards = min(workers, max(1, n // _MIN_SHARD))
-        bounds = [round(k * n / n_shards) for k in range(n_shards + 1)]
-        jobs = []
-        for k in range(n_shards):
-            lo, hi = bounds[k], bounds[k + 1]
-            if lo == 0:
-                prev, st = reset_values, reset_state
-            else:
-                prev = {net: (settled[i] >> (lo - 1)) & 1
-                        for i, net in enumerate(nets)}
-                st = {}
-                for lp, latch in zip(func.latches, circuit.latches):
-                    if lp.enable_slot >= 0 \
-                            and not (settled[lp.enable_slot]
-                                     >> (lo - 1)) & 1:
-                        st[latch.output] = (settled[lp.out_slot]
-                                            >> (lo - 1)) & 1
-                    else:
-                        st[latch.output] = (settled[lp.data_slot]
-                                            >> (lo - 1)) & 1
-            jobs.append((circuit, vectors.slice(lo, hi),
-                         prev, st, lo == 0))
-
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=n_shards) as pool:
-            parts = list(pool.map(_timed_batch_star, jobs))
-
-        toggles = {net: 0 for net in nets}
-        ones = {net: 0 for net in nets}
-        events = 0
-        glitches = 0
-        edges = 0
-        for k, part in enumerate(parts):
-            for net, t in part.toggles.items():
-                if t:
-                    toggles[net] += t
-            for net, o in part.ones.items():
-                if o:
-                    ones[net] += o
-            events += part.events
-            glitches += part.glitches
-            edges += part.latch_edges_lo
-            if k + 1 < len(parts):
-                # The shard's last cycle is interior to the full run,
-                # so its pending clock edge is committed.
-                edges += part.latch_edges_last
-
-        caps = circuit.load_capacitances()
-        switched = sum(caps[net] * t for net, t in toggles.items() if t)
-        clock_cap = 0.0
-        if circuit.latches and n > 1:
-            clock_cap = 2.0 * gatelib.DFF_CLOCK_CAP * edges
-        sp.add("lanes", n)
-        sp.set("shards", n_shards)
-    return ActivityReport(
-        cycles=n,
-        toggles=toggles,
-        ones=ones,
-        switched_capacitance=switched,
-        clock_capacitance=clock_cap,
-        events=events,
-        glitches=glitches,
-    )
+    return EventSimulator(circuit, engine=engine).run(vectors)
 
 
 def timed_activity_cached(circuit: Circuit, vectors: Stimulus,
-                          workers: Optional[int] = None,
                           engine: Optional[str] = None):
     """Memoized :func:`timed_activity` (whole-run granularity).
 
@@ -694,8 +579,6 @@ def timed_activity_cached(circuit: Circuit, vectors: Stimulus,
     probes of one pipeline level) hit instead of resimulating; a
     corrupt or wrong-schema entry degrades to a plain rerun.  Every
     hit returns a *fresh* report (callers mutate reports in place).
-    ``workers`` affects only how a miss is computed — the report is
-    bit-identical either way, so it is not part of the key.
     """
     from repro.logic.simulate import ActivityReport
 
@@ -704,8 +587,7 @@ def timed_activity_cached(circuit: Circuit, vectors: Stimulus,
             vectors = PackedVectors.from_vectors(circuit.inputs,
                                                  list(vectors))
         except KeyError:
-            return timed_activity(circuit, vectors, workers=workers,
-                                  engine=engine)
+            return timed_activity(circuit, vectors, engine=engine)
     n = vectors.n
     resolved = resolve_engine(engine)
     key = artifact_store.activity_key(
@@ -727,8 +609,7 @@ def timed_activity_cached(circuit: Circuit, vectors: Stimulus,
             events=decoded["events"],
             glitches=decoded["glitches"],
         )
-    report = timed_activity(circuit, vectors, workers=workers,
-                            engine=resolved)
+    report = timed_activity(circuit, vectors, engine=resolved)
     st.put(key, artifact_store.ACTIVITY_KIND, artifact_store.pack_activity(
         report.cycles, circuit.nets, report.toggles, report.ones,
         report.switched_capacitance, report.clock_capacitance,

@@ -103,9 +103,9 @@ class Circuit:
         """Drop derived caches for pickling.
 
         The compiled simulation plans hold ``exec``-generated
-        functions that cannot cross process boundaries; worker
-        processes (fasttimer's sharded evaluation) rehydrate them
-        from the content-addressed plan store (:mod:`repro.store`) or
+        functions that cannot cross process boundaries; pool workers
+        (search sweeps, the estimation service) rehydrate them from
+        the content-addressed plan store (:mod:`repro.store`) or
         rebuild them from the structural state.  The structural
         fingerprint *does* survive pickling — it is a plain string,
         and carrying it saves every worker one canonicalization pass.

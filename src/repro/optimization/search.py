@@ -10,6 +10,9 @@ workers warm-start from the shared :mod:`repro.store` disk layer, so
 compiled plans and timed-run memos cross process boundaries.  Cone
 records stay in each worker's own cone cache.
 
+:func:`start_pool` is the one place the repo builds a process pool;
+the estimation service (:mod:`repro.serve`) gets its workers there too.
+
 Contract
 --------
 
@@ -60,7 +63,7 @@ from repro.util import seeding
 __all__ = [
     "ENV_WORKERS", "SearchContext",
     "resolve_workers", "evaluate_candidates", "activity_job",
-    "in_worker", "shutdown_pool",
+    "in_worker", "start_pool", "shutdown_pool",
 ]
 
 #: Environment default for the ``workers`` knob (``N`` or ``auto``).
@@ -138,10 +141,11 @@ _CTX_CACHE: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 def _init_worker(store_dir: Optional[str]) -> None:
     """Warm-start one pool worker.
 
-    Point the worker at the sweep's shared disk store (compiled plans
-    and timed-run memos written by any process rehydrate here), start
-    a fresh bounded in-process cone cache, and pre-import the hot
-    modules so the first job measures estimation, not imports.
+    Point the worker at the pool's shared disk store (compiled plans
+    and timed-run memos written by any process rehydrate here), mark
+    it a pool worker (its jobs never nest a pool), start a fresh
+    bounded in-process cone cache, and pre-import the hot modules so
+    the first job measures estimation, not imports.
     """
     _WORKER_STATE["in_worker"] = True
     if store_dir:
@@ -149,8 +153,11 @@ def _init_worker(store_dir: Optional[str]) -> None:
         artifact_store.set_store(None)      # rebuild from env
     from repro.logic import incremental as inc
     inc.clear_cone_cache()
+    import repro.core                     # noqa: F401
+    import repro.logic.eventsim           # noqa: F401
     import repro.logic.fastsim            # noqa: F401
     import repro.logic.fasttimer          # noqa: F401
+    import repro.logic.generators         # noqa: F401
     import repro.logic.simulate           # noqa: F401
 
 
@@ -253,8 +260,30 @@ def _atexit_cleanup() -> None:   # pragma: no cover - interpreter exit
         pass
 
 
+def start_pool(workers: int,
+               store_dir: Optional[str]) -> ProcessPoolExecutor:
+    """A fresh pool of ``workers`` warm workers sharing ``store_dir``.
+
+    Every worker runs :func:`_init_worker` and answers a warm-up probe
+    before this returns; raises if the pool cannot start.  A pool that
+    breaks is discarded, and the next submission starts a fresh one.
+    """
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               initializer=_init_worker,
+                               initargs=(store_dir,))
+    try:
+        futs = [pool.submit(_probe, k) for k in range(workers)]
+        for fut in futs:
+            fut.result(timeout=_PROBE_TIMEOUT_S)
+    except Exception:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    return pool
+
+
 def _get_pool(workers: int) -> ProcessPoolExecutor:
-    """The persistent pool, (re)created when shape or store changed."""
+    """The persistent sweep pool, (re)created when shape or store
+    changed, or after it broke."""
     global _POOL, _POOL_KEY, _ATEXIT_REGISTERED
     store_dir = _pool_store_dir()
     key = (workers, store_dir)
@@ -267,19 +296,9 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     if not _ATEXIT_REGISTERED:
         atexit.register(_atexit_cleanup)
         _ATEXIT_REGISTERED = True
-    pool = ProcessPoolExecutor(max_workers=workers,
-                               initializer=_init_worker,
-                               initargs=(store_dir,))
-    try:
-        futs = [pool.submit(_probe, k) for k in range(workers)]
-        for fut in futs:
-            fut.result(timeout=_PROBE_TIMEOUT_S)
-    except Exception:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    _POOL = pool
+    _POOL = start_pool(workers, store_dir)
     _POOL_KEY = key
-    return pool
+    return _POOL
 
 
 def _mark_pool_broken() -> None:

@@ -17,7 +17,7 @@ switched capacitance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.logic.generators import (
     array_multiplier,
@@ -71,17 +71,14 @@ class RtlComponent:
         return vec
 
     def reference_activity(self, operand_streams: Sequence[WordStream],
-                           timed: bool = False,
-                           workers: Optional[int] = None
-                           ) -> ActivityReport:
+                           timed: bool = False) -> ActivityReport:
         """Gate-level activity under word-level stimulus (ground truth).
 
         Streams are packed directly into bit-parallel input lanes, so
         characterization runs (thousands of cycles per component) skip
         the per-cycle vector dicts entirely.  ``timed=True`` switches
         the ground truth to the glitch-aware tick-wheel engine
-        (:mod:`repro.logic.fasttimer`); ``workers`` then shards long
-        streams across processes (partial reports merge exactly).
+        (:mod:`repro.logic.fasttimer`).
         """
         from repro.logic import fastsim
 
@@ -89,16 +86,14 @@ class RtlComponent:
         if timed:
             from repro.logic import fasttimer
 
-            return fasttimer.timed_activity(self.circuit, packed,
-                                            workers=workers)
+            return fasttimer.timed_activity(self.circuit, packed)
         return collect_activity(self.circuit, packed)
 
     def reference_power(self, operand_streams: Sequence[WordStream],
                         vdd: float = 1.0, freq: float = 1.0,
-                        timed: bool = False,
-                        workers: Optional[int] = None) -> float:
+                        timed: bool = False) -> float:
         return self.reference_activity(
-            operand_streams, timed=timed, workers=workers,
+            operand_streams, timed=timed,
         ).average_power(vdd=vdd, freq=freq)
 
     def cycle_energies(self, operand_streams: Sequence[WordStream],

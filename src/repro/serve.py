@@ -2,8 +2,9 @@
 
 ``python -m repro serve`` stands up an HTTP server (stdlib
 ``http.server``, threading front end) over a **persistent warm worker
-pool** of processes that share the content-addressed plan store
-(:mod:`repro.store`).  The serving economics are the whole point:
+pool** of processes (:func:`repro.optimization.search.start_pool`)
+that share the content-addressed plan store (:mod:`repro.store`).
+The serving economics are the whole point:
 compiling a circuit's simulation plans costs orders of magnitude more
 than evaluating a batch of cycles, so a service that keeps workers
 alive and plans content-addressed pays the mapping cost once per
@@ -59,13 +60,16 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
+from concurrent.futures.process import BrokenProcessPool
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro import store as artifact_store
+from repro.optimization import search
 from repro.util import seeding
 
 __all__ = ["EstimationServer", "Client", "run_job", "main",
@@ -135,9 +139,9 @@ def _run_search(job: Dict[str, Any], cycles: int, seed,
     code over one address stream (:func:`survey_codes`), ``guarded``
     measures the top-k guard candidates of a circuit
     (:func:`evaluate_guarded`).  In a serve worker the candidate walk
-    is serial: :func:`_init_worker` marks serve workers as search-pool
-    workers, so a job never nests a pool inside the serve pool, whose
-    workers already run a batch's jobs in parallel.
+    is serial: serve workers are search-pool workers (built by
+    :func:`search.start_pool`), so a job never nests a pool inside the
+    serve pool, whose workers already run a batch's jobs in parallel.
     """
     from repro.logic import fastsim
     from repro.optimization import bus_encoding
@@ -353,25 +357,6 @@ def _merge_shards(parts: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     return out
 
 
-def _init_worker(store_dir: Optional[str]) -> None:
-    """Warm a pool worker: store config + imports off the hot path.
-
-    Runs the search pool's worker initializer, which points the
-    worker at the shared store and marks it a pool worker, so the
-    candidate sweeps of ``search`` jobs stay serial instead of
-    nesting a second pool inside this one.
-    """
-    from repro.optimization import search
-    search._init_worker(store_dir)
-    # Pre-import the heavy modules so the first job measures
-    # estimation, not imports.
-    import repro.core                     # noqa: F401
-    import repro.logic.eventsim           # noqa: F401
-    import repro.logic.fastsim            # noqa: F401
-    import repro.logic.fasttimer          # noqa: F401
-    import repro.logic.generators         # noqa: F401
-
-
 # ----------------------------------------------------------------------
 # Server
 # ----------------------------------------------------------------------
@@ -382,7 +367,9 @@ class EstimationServer:
     and otherwise provisions a private temporary store directory, so
     the pool always shares a disk-backed plan store — that sharing is
     what makes the pool *warm* for repeated structures regardless of
-    which worker a job lands on.
+    which worker a job lands on.  Workers receive the directory
+    through their initializer; the calling process's store and
+    environment are left alone.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -400,7 +387,7 @@ class EstimationServer:
         self._thread: Optional[threading.Thread] = None
         self._latencies: deque = deque(maxlen=_LATENCY_WINDOW)
         self._counters = {"requests": 0, "jobs": 0, "jobs_failed": 0,
-                          "batches": 0}
+                          "batches": 0, "pool_restarts": 0}
         #: Plan-store traffic the pool workers report per job.
         self._store = {"hits": 0, "misses": 0}
         self._lock = threading.Lock()
@@ -416,14 +403,7 @@ class EstimationServer:
                 prefix="repro-serve-store-")
             store_dir = self._own_store_tmp.name
         self._store_dir = store_dir
-        artifact_store.configure(root=store_dir)
-
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_worker, initargs=(store_dir,))
-        # Touch every worker once so process spawn + imports happen
-        # before the first request, not during it.
-        list(self._pool.map(_warm_probe, range(self.workers)))
+        self._pool = search.start_pool(self.workers, store_dir)
 
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
@@ -439,7 +419,8 @@ class EstimationServer:
         return self.host, self.port
 
     def stop(self) -> None:
-        """Graceful teardown: listener, pool, periodic export, store."""
+        """Graceful teardown: listener, pool, periodic export, and the
+        private store directory (if :meth:`start` made one)."""
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -468,15 +449,42 @@ class EstimationServer:
         return self.host, self.port
 
     # -- request handling ---------------------------------------------
+    def _restart_pool(self, broken: ProcessPoolExecutor
+                      ) -> Optional[ProcessPoolExecutor]:
+        """Replace ``broken`` with a fresh pool, once per breakage
+        (``None`` after :meth:`stop`)."""
+        with self._lock:
+            if self._pool is broken:
+                broken.shutdown(wait=False, cancel_futures=True)
+                self._pool = search.start_pool(self.workers,
+                                               self._store_dir)
+                self._counters["pool_restarts"] += 1
+            return self._pool
+
+    def _submit(self, job: Dict[str, Any]) -> Future:
+        """Submit one job, starting a fresh pool if the last one broke;
+        a job that cannot be submitted is an already-failed future."""
+        pool = self._pool
+        try:
+            try:
+                return pool.submit(run_job, job)
+            except BrokenProcessPool:
+                return self._restart_pool(pool).submit(run_job, job)
+        except Exception as exc:
+            fut: Future = Future()
+            fut.set_exception(exc)
+            return fut
+
     def run_batch(self, jobs: List[Dict[str, Any]], emit) -> Dict[str, Any]:
         """Fan a batch out over the pool; stream results via ``emit``.
 
         ``emit(result)`` is called once per job in completion order;
         the returned summary is for the trailing NDJSON line.  Jobs
         with ``shards > 1`` expand into sub-tasks and merge before
-        emission.
+        emission.  Jobs in flight when a worker dies come back
+        ``ok: false`` with the ``BrokenProcessPool`` error; the next
+        submission starts a fresh pool.
         """
-        assert self._pool is not None
         t0 = time.perf_counter()
         pending: Dict[Any, Tuple[int, List[Optional[Dict[str, Any]]]]] = {}
         job_ids: List[Any] = []
@@ -488,8 +496,7 @@ class EstimationServer:
             remaining[idx] = len(subs)
             pending[idx] = (len(subs), [None] * len(subs))
             for k, sub in enumerate(subs):
-                fut = self._pool.submit(run_job, sub)
-                futures[fut] = (idx, k)
+                futures[self._submit(sub)] = (idx, k)
 
         ok = failed = 0
         hits = misses = 0
@@ -575,11 +582,6 @@ class EstimationServer:
             "store": dict(store, hit_rate=round(
                 store["hits"] / served, 4) if served else 0.0),
         }
-
-
-def _warm_probe(_: int) -> int:
-    """No-op submitted once per worker at startup to force spawn."""
-    return os.getpid()
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,8 @@ plans, fasttimer's tick-wheel plan tables, eventsim's tick grids, the
 word-stream bit-plane packings — used to live only on the Python
 object that produced it.  The caches died at every process boundary:
 ``Circuit.__getstate__`` drops compiled plans (they hold bound
-functions), so fasttimer's sharded workers, every bench subprocess,
-and every estimation-server worker recompiled identical plans from
-scratch.  This module is the fix: a content-addressed store keyed by
+functions), so every pool worker, every bench subprocess, and every
+estimation-server worker recompiled identical plans from scratch.  This module is the fix: a content-addressed store keyed by
 a *structural fingerprint* (:meth:`repro.logic.netlist.Circuit.
 fingerprint`), so any process that sees the same structure pays the
 compile cost once and every later consumer rehydrates.
@@ -476,9 +475,8 @@ def configure(root: Optional[os.PathLike] = None,
               mem_entries: Optional[int] = None) -> ArtifactStore:
     """Install a fresh process-wide store rooted at ``root``.
 
-    Also exports ``REPRO_STORE`` so worker processes spawned after
-    this call (fasttimer shards, server workers) share the disk
-    layer.
+    Also exports ``REPRO_STORE`` so processes started after this call
+    (bench subprocesses, search-pool workers) share the disk layer.
     """
     store = ArtifactStore(
         root=root,

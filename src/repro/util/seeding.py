@@ -1,14 +1,13 @@
-"""One spawn-key scheme for every worker pool.
+"""One spawn-key scheme for every fan-out.
 
-Three subsystems fan work out over process pools and need per-child
-seeds that are (a) deterministic, (b) distinct per child, and (c)
-stable across worker counts and completion order: the sharded timed
-engine / estimation-service shards (:mod:`repro.serve`), the learned
-characterization stimulus mix
+Three subsystems fan work out and need per-child seeds that are (a)
+deterministic, (b) distinct per child, and (c) stable across worker
+counts and completion order: the estimation service's stimulus shards
+(:mod:`repro.serve`), the learned characterization stimulus mix
 (:mod:`repro.estimation.learned.characterize`), and the parallel
-candidate-search executor (:mod:`repro.optimization.search`).  Each
-used to derive child seeds its own way; this module is the single
-shared derivation.
+candidate-search executor (:mod:`repro.optimization.search`), which
+also seeds the learned population sweep.  Each used to derive child
+seeds its own way; this module is the single shared derivation.
 
 The scheme is the affine spawn key the characterization flow has
 always used::

@@ -277,22 +277,6 @@ class TestGlitchReport:
         assert fast.glitch_report(vectors) == ref.glitch_report(vectors)
 
 
-class TestSharding:
-    def test_sharded_activity_identical_to_serial(self):
-        circuit = random_latched_circuit(5, 40, 4, seed=17)
-        packed = random_packed_vectors(circuit.inputs, 1500, seed=18)
-        serial = EventSimulator(circuit, engine="fast").run(packed)
-        sharded = fasttimer.timed_activity(circuit, packed, workers=2)
-        assert_timed_identical(sharded, serial)
-
-    def test_small_batches_stay_serial(self):
-        circuit = ripple_carry_adder(4)
-        vectors = random_vectors(circuit.inputs, 20, seed=2)
-        serial = EventSimulator(circuit, engine="fast").run(vectors)
-        report = fasttimer.timed_activity(circuit, vectors, workers=4)
-        assert_timed_identical(report, serial)
-
-
 class TestPlanCache:
     def test_plan_cached_and_invalidated(self):
         circuit = ripple_carry_adder(3)

@@ -189,6 +189,30 @@ class TestCharacterize:
             [d.targets for d in parallel]
         assert [d.rows for d in serial] == [d.rows for d in parallel]
 
+    def test_population_records_each_dataset_once(self):
+        # In-process datasets record themselves; the records of those
+        # built in pool workers are mirrored here, and only those.
+        specs = [{"name": "add4", "component": "add", "width": 4},
+                 {"name": "mux4", "component": "mux", "width": 4}]
+        records = {}
+        for workers in (1, 2):
+            obs.clear_run_records()
+            obs.enable()
+            pooled = obs.registry.counter("search.parallel_jobs")
+            try:
+                characterize_population(specs, cycles=128, seed=3,
+                                        runs=2, workers=workers)
+                pooled = obs.registry.counter("search.parallel_jobs") \
+                    - pooled
+                records[workers] = \
+                    obs.run_records()["learned.characterization"]
+            finally:
+                obs.disable()
+                obs.clear_run_records()
+            assert pooled == (len(specs) if workers > 1 else 0)
+        assert [r["name"] for r in records[1]] == ["add4", "mux4"]
+        assert records[2] == records[1]
+
 
 # ----------------------------------------------------------------------
 # Fitting and prediction

@@ -413,6 +413,20 @@ class TestPassEquivalence:
         assert got == expected
 
 
+class TestOnePool:
+    def test_only_search_builds_process_pools(self):
+        # search.start_pool is the only place a pool is made: serve
+        # and the learned population sweep get their workers there.
+        from pathlib import Path
+        root = Path(search.__file__).resolve().parents[1]    # repro/
+        pool_sites = {
+            path.relative_to(root.parent).as_posix():
+                path.read_text().count("ProcessPoolExecutor(")
+            for path in root.rglob("*.py")
+            if "ProcessPoolExecutor(" in path.read_text()}
+        assert pool_sites == {"repro/optimization/search.py": 1}
+
+
 # ----------------------------------------------------------------------
 # serve.py batch exposure
 # ----------------------------------------------------------------------
@@ -468,8 +482,9 @@ class TestServeSearch:
         from repro import store as artifact_store
 
         monkeypatch.setenv(search.ENV_WORKERS, "2")
-        # start() exports REPRO_STORE and swaps the store singleton:
-        # monkeypatch restores the variable, the finally the store.
+        # The server's workers share tmp_path as their store; reset
+        # this process's store singleton too: monkeypatch restores the
+        # variable, the finally the store.
         monkeypatch.setenv(artifact_store.ENV_DIR, str(tmp_path))
         prev_store = artifact_store.set_store(None)
         server = serve.EstimationServer(workers=2)

@@ -9,6 +9,8 @@ periodic-export API that long-running servers rely on.
 
 import json
 import os
+import signal
+import threading
 import time
 
 import pytest
@@ -18,13 +20,14 @@ from repro import store as artifact_store
 from repro.core import PowerEstimator
 from repro.logic import fastsim
 from repro.logic.generators import counter, parity_tree, \
-    ripple_carry_adder
+    random_logic, ripple_carry_adder
 
 @pytest.fixture(scope="module")
 def server():
-    # The server exports REPRO_STORE and swaps the store singleton so
-    # its forked workers share the disk store; restore both afterwards
-    # so later test modules see a clean slate.
+    # The server leaves this process's REPRO_STORE and store singleton
+    # alone (TestStoreSharing checks that); start from a fresh
+    # singleton and restore both afterwards anyway, so later test
+    # modules see a clean slate whatever a test here configures.
     prev_env = os.environ.get(artifact_store.ENV_DIR)
     prev_store = artifact_store.set_store(None)
     try:
@@ -208,10 +211,18 @@ class TestEstimation:
         assert summary["store_misses"] == 0
 
     def test_jobs_spread_across_workers(self, client):
-        jobs = [_job("parity_tree", {"width": 8}, cycles=32,
+        # Each job takes ~25 ms in a worker on a 2-vCPU host (500
+        # gates x 65,536 cycles), so one worker cannot drain the batch
+        # before the other picks up a job.
+        params = {"n_inputs": 16, "n_gates": 500, "n_outputs": 8,
+                  "seed": 3}
+        jobs = [_job("random_logic", params, cycles=65536,
                      seed=i, id=i) for i in range(8)]
         results = client.estimate(jobs)["results"]
-        assert len({r["pid"] for r in results}) > 1
+        assert all(r["ok"] for r in results), results
+        pids = {r["pid"] for r in results}
+        assert os.getpid() not in pids
+        assert len(pids) > 1
 
 
 class TestSelfCheck:
@@ -274,12 +285,38 @@ class TestObsFlush:
 
 
 class TestStoreSharing:
-    def test_server_configures_singleton(self, server):
-        st = artifact_store.get_store()
-        assert st.root is not None
-        assert str(st.root) == server._store_dir
-        assert os.environ.get(artifact_store.ENV_DIR) == \
-            server._store_dir
+    def test_server_leaves_parent_store_alone(self, monkeypatch):
+        # Workers get the store directory through their initializer;
+        # this process keeps its store and environment, so the private
+        # directory stop() deletes is never written again from here.
+        monkeypatch.delenv(artifact_store.ENV_DIR, raising=False)
+        prev_store = artifact_store.set_store(None)
+        try:
+            before = artifact_store.get_store()
+            with serve.EstimationServer(workers=1) as srv:
+                private = srv._store_dir
+                served = serve.Client(*srv.address).estimate(
+                    [_job("ripple_carry_adder", {"width": 5},
+                          cycles=64, seed=1)])["results"][0]
+                assert served["ok"], served
+                assert os.path.isdir(private)
+                assert artifact_store.get_store() is before
+                assert artifact_store.ENV_DIR not in os.environ
+            assert artifact_store.get_store() is before
+            assert artifact_store.ENV_DIR not in os.environ
+            assert not os.path.exists(private)
+            # A never-seen structure: the estimate publishes its plan
+            # to this process's store, which must not recreate the
+            # deleted directory.
+            circuit = random_logic(9, 50, 3, seed=424242)
+            vectors = fastsim.random_packed_vectors(circuit.inputs, 64,
+                                                    seed=1)
+            puts = before.stats()["puts"]
+            PowerEstimator().gate(circuit, vectors)
+            assert before.stats()["puts"] > puts
+            assert not os.path.exists(private)
+        finally:
+            artifact_store.set_store(prev_store)
 
     def test_workers_share_disk_store(self, server, client):
         # A structure no other test uses: first encounter compiles
@@ -294,3 +331,93 @@ class TestStoreSharing:
             assert r["ok"]
             assert r["store_misses"] == 0
         assert repeats["summary"]["store_hits"] >= 4
+
+
+# ----------------------------------------------------------------------
+# Worker death: a broken pool is replaced, never a dead service
+# ----------------------------------------------------------------------
+def _wait_reaped(pid: int, timeout: float = 30.0) -> None:
+    """Wait until the pool has noticed ``pid``'s death and joined it
+    (a dead but unjoined worker still answers signal 0)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"worker {pid} was never reaped")
+
+
+def _cpu_ticks(pid: int) -> int:
+    """User + system CPU ticks of ``pid`` (``/proc/<pid>/stat``)."""
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    return int(fields[11]) + int(fields[12])
+
+
+class TestPoolFaults:
+    @pytest.fixture
+    def own_server(self):
+        with serve.EstimationServer(workers=2) as srv:
+            yield srv
+
+    @staticmethod
+    def _quick_jobs():
+        return [_job("ripple_carry_adder", {"width": 6}, cycles=64,
+                     seed=k, id=k) for k in range(4)]
+
+    def test_kill_between_batches(self, own_server):
+        client = serve.Client(*own_server.address)
+        first = client.estimate(self._quick_jobs())
+        assert all(r["ok"] for r in first["results"]), first
+        victim = first["results"][0]["pid"]
+        os.kill(victim, signal.SIGKILL)
+        _wait_reaped(victim)
+
+        second = client.estimate(self._quick_jobs())
+        assert len(second["results"]) == 4
+        assert all(r["ok"] for r in second["results"]), second
+        assert victim not in {r["pid"] for r in second["results"]}
+        assert client.stats()["counters"]["pool_restarts"] == 1
+
+    def test_kill_mid_batch(self, own_server):
+        client = serve.Client(*own_server.address)
+        # ~0.5 s per job on a 2-vCPU host: the scalar event-driven
+        # reference engine.
+        slow = [_job("ripple_carry_adder", {"width": 8},
+                     technique="event-driven", engine="reference",
+                     cycles=2000, seed=k, id=k) for k in range(4)]
+        victim = sorted(own_server._pool._processes)[0]
+        idle = _cpu_ticks(victim)
+        reply = {}
+
+        def post():
+            reply["status"], reply["lines"] = client._request(
+                "POST", "/estimate", {"jobs": slow})
+
+        poster = threading.Thread(target=post)
+        poster.start()
+        # Kill the victim once it is busy with a job of this batch.
+        busy = max(1, os.sysconf("SC_CLK_TCK") // 20)
+        deadline = time.monotonic() + 30.0
+        while _cpu_ticks(victim) - idle < busy:
+            assert time.monotonic() < deadline, "victim never got a job"
+            time.sleep(0.005)
+        os.kill(victim, signal.SIGKILL)
+        poster.join(timeout=120)
+        assert not poster.is_alive()
+
+        assert reply["status"] == 200
+        *results, summary = reply["lines"]
+        assert summary["summary"]["jobs"] == len(slow)
+        assert len(results) == len(slow)
+        failed = [r for r in results if not r["ok"]]
+        assert failed
+        assert all("BrokenProcessPool" in r["error"] for r in failed)
+        assert summary["summary"]["failed"] == len(failed)
+
+        after = client.estimate(self._quick_jobs())
+        assert len(after["results"]) == 4
+        assert all(r["ok"] for r in after["results"]), after
+        assert client.stats()["counters"]["pool_restarts"] == 1

@@ -10,7 +10,7 @@ Covers the three contracts the plan store depends on:
   corruption, truncation, version skew, or unwritable roots;
 - the engines (fastsim / fasttimer / eventsim) rehydrate plans from
   the store bit-identically to a fresh compile, including across
-  processes and under sharded execution.
+  processes.
 """
 
 import json
@@ -403,15 +403,6 @@ class TestRehydration:
         again = fasttimer.timed_activity(ripple_carry_adder(6), vectors)
         assert mem_store.stats()["puts"] == puts + 1
         assert again == cold
-
-    def test_fasttimer_sharded_warm(self, disk_store):
-        a = counter(6)
-        vectors = fastsim.random_packed_vectors(a.inputs, 512, seed=4)
-        serial = fasttimer.timed_activity(a, vectors)
-        b = counter(6)
-        sharded = fasttimer.timed_activity(b, vectors, workers=2)
-        assert sharded.toggles == serial.toggles
-        assert sharded.events == serial.events
 
     def test_tick_grid_rehydrate(self, mem_store):
         a = parity_tree(8)
