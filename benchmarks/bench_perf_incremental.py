@@ -15,6 +15,12 @@ workload shapes, both gated:
   user pays it — ``clone()``, retype, ``invalidate()`` and
   ``estimate_delta`` — as the median over distinct single-gate edits.
 
+- **Steady-state edits.**  400 distinct single-gate edits against one
+  primed base, on a cache that the variants' records overflow after
+  about 50 edits.  A full cache must keep the base primed, so the
+  last 50 edits' median stays within 1.5x of the first 50's (gated);
+  both medians, the base prime count and the evictions are recorded.
+
 - **Optimization sweep.**  The exact estimation workload the rewired
   passes issue: a clock-gating ``simplify_fraction`` sweep, a
   precomputation ``subset_size`` sweep, and a guarded-evaluation
@@ -253,6 +259,78 @@ def test_perf_single_gate_edit(once):
           f"whole edit (clone + estimate_delta) {t_edit * 1e3:.1f} ms")
     shape(f"single-gate delta re-estimation >= 5x over full resim "
           f"(got {speedup:.2f}x)", speedup >= 5.0)
+
+
+def steady_state_sites(circuit: Circuit, count: int,
+                       seed: int = 5) -> list:
+    """``count`` distinct 2-input gates past the first fifth of the
+    gate list (small fanout cones), in seeded random order."""
+    first = len(circuit.gates) // 5
+    sites = [i for i in range(first, len(circuit.gates))
+             if len(circuit.gates[i].inputs) == 2]
+    return random.Random(seed).sample(sites, count)
+
+
+def test_perf_steady_state_edits(once):
+    """400 edits past a full cache: the base stays primed, <= 1.5x."""
+    edits, window, checks = 400, 50, 8
+    circuit = random_logic(32, 3000, 16, seed=3)
+    vectors = random_packed_vectors(list(circuit.inputs), 1 << 17,
+                                    seed=4)
+    sites = steady_state_sites(circuit, edits + checks)
+
+    def run():
+        # Untimed: bit-identity on a sample of edits, and the bytes an
+        # edit adds, which sizes the cache to overflow after ~50 edits.
+        cache = inc.ConeCache()
+        inc.prime(circuit, vectors, cache=cache)
+        base_bytes = cache.stats()["bytes"]
+        for index in sites[edits:]:
+            variant = _retype(circuit, index)
+            report, _ = inc.estimate_delta(circuit, variant, vectors,
+                                           cache=cache)
+            shape("steady-state edit bit-identical to full resim",
+                  inc.reports_equal(report,
+                                    collect_activity(variant, vectors)))
+        per_edit = (cache.stats()["bytes"] - base_bytes) / checks
+        cache = inc.ConeCache(
+            max_bytes=int(base_bytes + window * per_edit))
+        inc.prime(circuit, vectors, cache=cache)
+        times = []
+        for index in sites[:edits]:
+            start = time.perf_counter()
+            inc.estimate_delta(circuit, _retype(circuit, index), vectors,
+                               cache=cache)
+            times.append(time.perf_counter() - start)
+        return times, cache.stats()
+
+    times, stats = once(run)
+    first = statistics.median(times[:window])
+    last = statistics.median(times[-window:])
+    ratio = last / first
+    _record({
+        "key": "steady_state_edits",
+        "gates": circuit.gate_count(),
+        "cycles": vectors.n,
+        "edits": edits,
+        "max_bytes": stats["max_bytes"],
+        "evictions": stats["evictions"],
+        "primes": stats.get("primes"),
+        "first_median_s": round(first, 6),
+        "last_median_s": round(last, 6),
+        "last_over_first": round(ratio, 3),
+        "cpus": os.cpu_count(),
+    })
+    print()
+    print(f"Perf: {edits} distinct edits, cache of {stats['max_bytes']} "
+          f"bytes ({stats['evictions']} evictions, {stats.get('primes')} "
+          f"base primes): median of the first {window} "
+          f"{first * 1e3:.1f} ms, of the last {window} "
+          f"{last * 1e3:.1f} ms  ->  {ratio:.2f}x")
+    shape("the variants' records overflow the cache",
+          stats["evictions"] > 0)
+    shape(f"a full cache keeps edits within 1.5x of the first {window} "
+          f"(got {ratio:.2f}x)", ratio <= 1.5)
 
 
 def test_perf_optimization_sweep(once):

@@ -646,11 +646,13 @@ def lane_counts(word: int, n: int) -> Tuple[int, int, int]:
     """
     if n <= 0:
         return 0, 0, 0
-    mask = (1 << n) - 1
-    w = word & mask
+    w = word if 0 <= word and word.bit_length() <= n \
+        else word & ((1 << n) - 1)
     ones = w.bit_count()
-    toggles = ((w ^ (w << 1)) & mask & ~1).bit_count()
     last = (w >> (n - 1)) & 1
+    # Bit i of w ^ (w >> 1) is w[i] ^ w[i+1] for i < n - 1, and the
+    # last bit itself at i = n - 1.
+    toggles = (w ^ (w >> 1)).bit_count() - last
     return ones, toggles, last
 
 

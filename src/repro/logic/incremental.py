@@ -23,7 +23,9 @@ lever the paper's estimate/transform/re-estimate loop hinges on:
   an :class:`ActivityReport` **bit-identical** to full resimulation
   (same float summation order, same clock-capacitance accounting),
 - :func:`estimate_delta` wraps the base-prime + variant-delta pair,
-  priming each base once per stimulus and engine.
+  priming each base once per stimulus and engine; a variant whose
+  cone structure was derived from a primed base's starts from that
+  base's keys and records and probes only the nets its edit rehashed.
 
 Cone records stay in process and only explicit incremental calls
 (``technique="incremental"``, :func:`estimate_delta`, the passes'
@@ -49,7 +51,11 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import reduce
+from itertools import compress
+from operator import add, mul
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, \
+    Union
 
 from repro import obs
 from repro.backend.core import resolve_engine
@@ -115,15 +121,31 @@ class DeltaStats:
     boundary_nets: int = 0
 
 
+class _PrimedBase(NamedTuple):
+    """What the cache holds for one primed base (see :func:`prime`)."""
+
+    records: Dict[str, ConeRecord]     # non-input nets (all pinned)
+    toggles: Dict[str, int]            # the base report's, nets order
+    ones: Dict[str, int]
+    keys: Tuple[ConeKey, ...]          # the records' keys
+
+
 class ConeCache:
-    """Process-wide LRU of :class:`ConeRecord` by cone key, byte-budgeted.
+    """Process-wide cache of :class:`ConeRecord` by cone key, byte-budgeted.
 
     The budget (``REPRO_CONE_CACHE_BYTES``, default 128 MiB) counts
     lane payloads — one record for an ``n``-cycle run costs about
     ``n/8`` bytes — so long traces over large circuit populations
-    evict gracefully instead of growing without bound.  The cache
-    also remembers which bases :func:`estimate_delta` has primed;
-    any eviction or :meth:`clear` forgets them all.
+    evict gracefully instead of growing without bound.
+
+    The cache also remembers the bases :func:`prime` ran on, with
+    their per-net records, and pins those records: eviction takes
+    unpinned records (variants', least recently used first) before
+    any primed base's.  When only pinned records are left, the least
+    recently used base is released — its token and record map are
+    dropped and its records become ordinary LRU entries — so pinned
+    records stay inside the budget, and every remembered base has all
+    its records resident.  :meth:`clear` forgets everything.
     """
 
     def __init__(self, max_bytes: Optional[int] = None) -> None:
@@ -133,14 +155,20 @@ class ConeCache:
             except ValueError:
                 max_bytes = DEFAULT_CACHE_BYTES
         self.max_bytes = int(max_bytes)
-        self._entries: "OrderedDict[str, ConeRecord]" = OrderedDict()
+        self._entries: Dict[ConeKey, ConeRecord] = {}
+        #: Unpinned keys, least recently used first.
+        self._lru: "OrderedDict[ConeKey, None]" = OrderedDict()
+        #: Pinned key -> number of primed bases holding it.
+        self._pins: Dict[ConeKey, int] = {}
+        #: Prime token (see :func:`estimate_delta`) -> that base's
+        #: records, least recently used first.
+        self._primed: "OrderedDict[tuple, _PrimedBase]" = OrderedDict()
         self._bytes = 0
+        self._pinned_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Prime tokens (see :func:`estimate_delta`) whose records are
-        #: all resident.
-        self._primed: set = set()
+        self.primes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -150,32 +178,74 @@ class ConeCache:
         if rec is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        self._touch(key)
         self.hits += 1
         return rec
 
+    def _touch(self, key: ConeKey) -> None:
+        if key in self._lru:
+            self._lru.move_to_end(key)
+
     def put(self, key: ConeKey, rec: ConeRecord) -> None:
-        old = self._entries.pop(key, None)
+        old = self._entries.get(key)
         if old is not None:
             self._bytes -= old.nbytes()
         self._entries[key] = rec
         self._bytes += rec.nbytes()
+        if key in self._pins:
+            self._pinned_bytes += rec.nbytes() - old.nbytes()
+        else:
+            self._lru[key] = None
+            self._lru.move_to_end(key)
         while self._bytes > self.max_bytes and len(self._entries) > 1:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes()
-            self.evictions += 1
-            self._primed.clear()
+            if self._lru:
+                evicted, _ = self._lru.popitem(last=False)
+                self._bytes -= self._entries.pop(evicted).nbytes()
+                self.evictions += 1
+            else:
+                self._release(next(iter(self._primed)))
+
+    def _hold(self, token: tuple, base: _PrimedBase) -> None:
+        """Remember a primed base and pin its (resident) records."""
+        pins, lru = self._pins, self._lru
+        for key in base.keys:
+            count = pins.get(key, 0)
+            if not count:
+                del lru[key]
+                self._pinned_bytes += self._entries[key].nbytes()
+            pins[key] = count + 1
+        self._primed[token] = base
+
+    def _release(self, token: tuple) -> None:
+        """Forget a primed base; records no other base pins become the
+        least recently used entries, in the base's ``nets`` order."""
+        pins, lru = self._pins, self._lru
+        for key in reversed(self._primed.pop(token).keys):
+            count = pins.pop(key) - 1
+            if count:
+                pins[key] = count
+                continue
+            self._pinned_bytes -= self._entries[key].nbytes()
+            lru[key] = None
+            lru.move_to_end(key, last=False)
 
     def clear(self) -> None:
         self._entries.clear()
-        self._bytes = 0
+        self._lru.clear()
+        self._pins.clear()
         self._primed.clear()
+        self._bytes = 0
+        self._pinned_bytes = 0
 
     def stats(self) -> Dict[str, int]:
+        """Counters; ``primes`` counts :func:`prime` runs (including
+        the ones :func:`estimate_delta` makes), ``pinned_bytes`` the
+        part of ``bytes`` that primed bases hold."""
         return {"entries": len(self._entries), "bytes": self._bytes,
                 "hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions,
-                "max_bytes": self.max_bytes}
+                "max_bytes": self.max_bytes, "primes": self.primes,
+                "pinned_bytes": self._pinned_bytes}
 
 
 _cone_cache: Optional[ConeCache] = None
@@ -217,13 +287,30 @@ def cone_keys(circuit: Circuit, packed: PackedVectors, engine: str,
     When the stimulus came from :class:`~repro.rtl.streams.WordStream`
     packing, the lane hashes change exactly when the originating
     streams' ``fingerprint()`` changes.
+
+    The result is memoized on the circuit's cone structure for the
+    last (stimulus lanes, engine, batch length) it was asked for;
+    treat it as read-only.  A structure derived by a retype starts
+    from its parent's keys and re-keys only the nets the retype
+    rehashed: their supports, hence their stimulus tails, carry over.
     """
+    # Structural work (a derive after an edit) runs inside the public
+    # cone pass, where profiles attribute it.
     fps = circuit.cone_fingerprints()
-    masks = circuit.cone_supports()
+    snap = circuit._cone_structure()
     lane_hashes = input_lane_hashes(packed)
-    digests: List[bytes] = []
-    for net in circuit.inputs:
-        digests.append(lane_hashes.get(net, b"\xffmissing"))
+    digests = tuple(lane_hashes.get(net, b"\xffmissing")
+                    for net in snap.inputs)
+    stimulus = (engine, packed.n, digests)
+    if snap.keys is not None and snap.keys[0] == stimulus:
+        return snap.keys[1]
+    base, snap.keys_base = snap.keys_base, None
+    if base is not None and base[0] == stimulus:
+        keys = dict(base[1])
+        for net in snap.rehashed:
+            keys[net] = (fps[net], keys[net][1])
+        snap.keys = (stimulus, keys)
+        return keys
     suffix = f"|{engine}|{packed.n}".encode("ascii")
     # In-process keys are plain (fingerprint, stimulus-tail) tuples:
     # tuple equality/hash is what dict probes pay for, and hashing a
@@ -233,7 +320,7 @@ def cone_keys(circuit: Circuit, packed: PackedVectors, engine: str,
     # object: a candidate sweep over one stimulus pays each distinct
     # support mask's bit-walk once, and identical tails across
     # candidates stay one shared bytes object.
-    memo_key = (engine, packed.n, tuple(circuit.inputs))
+    memo_key = (engine, packed.n, snap.inputs)
     memos = getattr(packed, "_tail_memo", None)
     if memos is None:
         memos = {}
@@ -242,10 +329,9 @@ def cone_keys(circuit: Circuit, packed: PackedVectors, engine: str,
         except AttributeError:
             pass
     mask_bytes = memos.setdefault(memo_key, {})
-    keys: Dict[str, ConeKey] = {}
-    fps_get = fps.__getitem__
-    masks_get = masks.__getitem__
-    for net in circuit.nets:
+    keys = {}
+    masks_get = snap.supports.__getitem__
+    for net in snap.nets:
         m = masks_get(net)
         tail = mask_bytes.get(m)
         if tail is None:
@@ -257,14 +343,38 @@ def cone_keys(circuit: Circuit, packed: PackedVectors, engine: str,
                 mm ^= low
             tail = suffix + b"".join(parts)
             mask_bytes[m] = tail
-        keys[net] = (fps_get(net), tail)
+        keys[net] = (fps[net], tail)
+    snap.keys = (stimulus, keys)
     return keys
 
 
 def _record_from_lane(lane: int, n: int) -> ConeRecord:
     ones, toggles, last = lane_counts(lane, n)
+    if lane < 0 or lane.bit_length() > n:
+        lane &= (1 << n) - 1
     return ConeRecord(n=n, ones=ones, toggles=toggles, last=last,
-                      lane=lane & ((1 << n) - 1))
+                      lane=lane)
+
+
+def _input_records(packed: PackedVectors,
+                   inputs: Sequence[str]) -> Dict[str, ConeRecord]:
+    """Records of the stimulus lanes of ``inputs``, memoized on the
+    packed-stimulus object like its lane hashes."""
+    memo = getattr(packed, "_input_records", None)
+    if memo is None:
+        memo = {}
+        try:
+            packed._input_records = memo
+        except AttributeError:
+            pass
+    records = {}
+    for net in inputs:
+        rec = memo.get(net)
+        if rec is None:
+            rec = memo[net] = _record_from_lane(packed.words[net],
+                                                packed.n)
+        records[net] = rec
+    return records
 
 
 def _ensure_packed(circuit: Circuit,
@@ -293,12 +403,16 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
 
     Looks every net up by cone key, resimulates only the dirty region
     (with clean boundary nets replayed from cached lanes), and
-    assembles the report from per-net records.  Falls back to a plain
-    :func:`~repro.logic.simulate.collect_activity` when the stimulus
-    cannot be packed, an explicit ``initial_state`` is given (cached
-    lanes assume latch init values), or the batch is empty; falls
-    back to a full (but cache-populating) lane run when the dirty
-    region exceeds :data:`DELTA_MAX_FRACTION` of the nets.
+    assembles the report from per-net records.  A circuit whose cone
+    structure was derived from a primed base's (see :func:`prime`)
+    starts from that base's records, which stay valid for its
+    unchanged keys, and probes only the nets its edit rehashed; the
+    report and :class:`DeltaStats` are the same either way.  Falls
+    back to a plain :func:`~repro.logic.simulate.collect_activity`
+    when the stimulus cannot be packed, an explicit ``initial_state``
+    is given (cached lanes assume latch init values), or the batch is
+    empty; falls back to a full (but cache-populating) lane run when
+    the dirty region exceeds :data:`DELTA_MAX_FRACTION` of the nets.
     """
     cache = cache if cache is not None else get_cone_cache()
     packed = _ensure_packed(circuit, vectors)
@@ -311,35 +425,41 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
     n = packed.n
     resolved = resolve_engine(engine)
     keys = cone_keys(circuit, packed, resolved)
-    nets = circuit.nets
-    inputs = set(circuit.inputs)
-    records: Dict[str, ConeRecord] = {}
+    snap = circuit._cone_structure()
+    nets = snap.nets
+    non_input = len(nets) - len(snap.inputs)
+    base = None
+    if cache._primed and snap.parent:
+        token = (snap.parent, stimulus_fingerprint(packed), resolved, n)
+        base = cache._primed.get(token)
+    # Input lanes are the stimulus itself — no cache needed.
+    inputs = _input_records(packed, snap.inputs)
+    if base is not None:
+        cache._primed.move_to_end(token)
+        records = dict(base.records)
+        records.update(inputs)
+        probe: Sequence[str] = snap.rehashed
+    else:
+        records = inputs
+        probe = nets[len(snap.inputs):]
     missing: List[str] = []
-    # Bulk cache probe: one dict.get per net against the raw entry
-    # table (the per-net ``cache.get`` call overhead is measurable at
-    # a few thousand nets); counters and LRU recency are settled in
+    # Bulk cache probe: one dict.get per probed net against the raw
+    # entry table (the per-net ``cache.get`` call overhead is
+    # measurable at a few thousand nets); the counters are settled in
     # aggregate afterwards.
-    entries = cache._entries
-    entry_get = entries.get
-    move = entries.move_to_end
-    hits = 0
-    for net in nets:
-        if net in inputs:
-            # Input lanes are the stimulus itself — no cache needed.
-            records[net] = _record_from_lane(packed.words[net], n)
-            continue
+    entry_get = cache._entries.get
+    touch = cache._touch
+    for net in probe:
         key = keys[net]
         rec = entry_get(key)
         if rec is not None and rec.n == n:
             records[net] = rec
-            move(key)
-            hits += 1
+            touch(key)
         else:
             missing.append(net)
-    cache.hits += hits
+    cache.hits += non_input - len(missing)
     cache.misses += len(missing)
     stats = DeltaStats(source="cached", total_nets=len(nets))
-    non_input = len(nets) - len(inputs)
     stats.reused_nets = non_input - len(missing)
     stats.dirty_nets = len(missing)
 
@@ -370,17 +490,28 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
             if populate:
                 cache.put(keys[net], rec)
 
+    if base is None:
+        toggles = {net: records[net].toggles for net in nets}
+        ones = {net: records[net].ones for net in nets}
+    else:
+        toggles = dict(base.toggles)
+        ones = dict(base.ones)
+        for net in probe:
+            rec = records[net]
+            toggles[net] = rec.toggles
+            ones[net] = rec.ones
     if obs.enabled():
         obs.inc(f"incremental.source.{stats.source}")
         obs.inc("incremental.reused_nets", stats.reused_nets)
         obs.inc("incremental.dirty_nets", stats.dirty_nets)
-    return _assemble(circuit, records, n, nets), stats
+    return _assemble(circuit, records, n, toggles, ones), stats
 
 
-def _assemble(circuit: Circuit, records: Dict[str, ConeRecord],
-              n: int, nets: Optional[List[str]] = None
+def _assemble(circuit: Circuit, records: Dict[str, ConeRecord], n: int,
+              toggles: Dict[str, int], ones: Dict[str, int]
               ) -> ActivityReport:
-    """Splice per-net records into a report, bit-identically.
+    """Splice per-net counts (``toggles``/``ones`` in ``circuit.nets``
+    order) into a report, bit-identically.
 
     Switched capacitance is summed in ``circuit.nets`` order skipping
     zero-toggle nets — the exact float summation both engines use —
@@ -390,19 +521,11 @@ def _assemble(circuit: Circuit, records: Dict[str, ConeRecord],
     per plain clocked flop, matching the chunked accumulation.
     """
     caps = circuit.load_capacitances()
-    if nets is None:
-        nets = circuit.nets
-    toggles: Dict[str, int] = {}
-    ones: Dict[str, int] = {}
-    for net in nets:
-        rec = records[net]
-        toggles[net] = rec.toggles
-        ones[net] = rec.ones
-    switched = 0.0
-    for net in nets:
-        t = toggles[net]
-        if t:
-            switched += caps[net] * t
+    counts = list(toggles.values())
+    # Left to right from 0.0, one rounding per add: the engines' loop.
+    switched = reduce(add, map(mul, map(caps.__getitem__,
+                                        compress(toggles, counts)),
+                               filter(None, counts)), 0.0)
     clock_cap = 0.0
     if circuit.latches and n > 1:
         edges = 0
@@ -436,9 +559,46 @@ def collect_activity_incremental(circuit: Circuit, vectors: Stimulus,
 def prime(circuit: Circuit, vectors: Stimulus,
           engine: Optional[str] = None,
           cache: Optional[ConeCache] = None) -> ActivityReport:
-    """Populate the cone cache for a base circuit (returns its report)."""
-    return collect_activity_incremental(circuit, vectors, engine=engine,
-                                        cache=cache)
+    """Populate the cone cache for a base circuit (returns its report).
+
+    When all the base's records are still resident afterwards, the
+    cache remembers the base under its token — (cone structure,
+    stimulus fingerprint, engine, cycles) — and pins its records (see
+    :class:`ConeCache`); a variant derived from it then starts from
+    them.  A prime that lost some of its own records to eviction is
+    not remembered, and it releases every other base, so the next
+    prime can fit.
+    """
+    cache = cache if cache is not None else get_cone_cache()
+    packed = _ensure_packed(circuit, vectors)
+    report = collect_activity_incremental(
+        circuit, vectors if packed is None else packed, engine=engine,
+        cache=cache)
+    cache.primes += 1
+    if packed is None or not packed.n:
+        return report
+    resolved = resolve_engine(engine)
+    snap = circuit._cone_structure()
+    token = (snap.serial, stimulus_fingerprint(packed), resolved, packed.n)
+    if token in cache._primed:
+        cache._primed.move_to_end(token)
+        return report
+    keys = cone_keys(circuit, packed, resolved)
+    nets = snap.nets
+    held = tuple(keys[net] for net in nets[len(snap.inputs):])
+    entries = cache._entries
+    if not all(key in entries for key in held):
+        for other in list(cache._primed):
+            cache._release(other)
+        return report
+    records = dict(zip(nets[len(snap.inputs):],
+                       map(entries.__getitem__, held)))
+    every = _input_records(packed, snap.inputs)
+    every.update(records)
+    cache._hold(token, _PrimedBase(
+        records, {net: every[net].toggles for net in nets},
+        {net: every[net].ones for net in nets}, held))
+    return report
 
 
 def estimate_delta(base: Circuit, variant: Circuit, vectors: Stimulus,
@@ -448,12 +608,13 @@ def estimate_delta(base: Circuit, variant: Circuit, vectors: Stimulus,
     """Re-estimate an edited ``variant`` against a cached ``base``.
 
     Primes the cache with the base circuit once per (base structure,
-    stimulus, engine) — until the cache evicts a record or is cleared
-    — then evaluates the variant through the cone cache: only the
-    dirty cone — edited nets plus transitive fanout, closed over
-    latch feedback — is resimulated.  Returns the variant's report
-    (bit-identical to full resimulation) plus the :class:`DeltaStats`
-    describing the reuse; neither depends on whether the prime ran.
+    stimulus, engine) — until one of the base's records is evicted
+    or the cache is cleared — then evaluates the variant through the
+    cone cache: only the dirty cone — edited nets plus transitive
+    fanout, closed over latch feedback — is resimulated.  Returns the
+    variant's report (bit-identical to full resimulation) plus the
+    :class:`DeltaStats` describing the reuse; neither depends on
+    whether the prime ran.
     """
     cache = cache if cache is not None else get_cone_cache()
     # The memo token covers everything the base's cone keys depend
@@ -467,11 +628,8 @@ def estimate_delta(base: Circuit, variant: Circuit, vectors: Stimulus,
                  stimulus_fingerprint(packed), resolve_engine(engine),
                  packed.n)
     if token is None or token not in cache._primed:
-        evictions = cache.evictions
         prime(base, vectors if packed is None else packed,
               engine=engine, cache=cache)
-        if token is not None and cache.evictions == evictions:
-            cache._primed.add(token)
     return delta_activity(variant, vectors, engine=engine, cache=cache)
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.logic import gates as gatelib
 from repro.logic.gates import GateSpec, gate_spec
 
 
-@dataclass
+@dataclass(slots=True)
 class Gate:
     """Instance of a library cell driving net ``output``."""
 
@@ -32,7 +33,7 @@ class Gate:
         return gate_spec(self.gate_type)
 
 
-@dataclass
+@dataclass(slots=True)
 class Latch:
     """Edge-triggered D flip-flop: samples ``data`` into ``output``.
 
@@ -73,6 +74,7 @@ class Circuit:
         self._fasttimer_plan: Optional[object] = None
         self._tick_grid: Optional[object] = None
         self._fingerprint_cache: Optional[Tuple[int, str]] = None
+        self._nets_cache: Optional[Tuple[int, List[str]]] = None
         #: Last cone structure computed (or inherited from the parent
         #: of a clone) and the version it is current for; after an
         #: edit it is the base the next cone query diffs against.
@@ -119,6 +121,7 @@ class Circuit:
         state["_fastsim_plan"] = None
         state["_fasttimer_plan"] = None
         state["_tick_grid"] = None
+        state["_nets_cache"] = None
         state["_cone_snap"] = None
         return state
 
@@ -258,7 +261,7 @@ class Circuit:
             return snap
         changed = self._changed_drivers(snap) if snap is not None else None
         if changed is None:
-            snap = _ConeStructure.build(tuple(self.inputs), self.nets,
+            snap = _ConeStructure.build(tuple(self.inputs), self._net_list(),
                                         len(self.latches),
                                         *self._cone_graph())
         elif changed[0] or changed[1]:
@@ -278,7 +281,7 @@ class Circuit:
         in), or any read set.  The cheap checks come first, so a
         circuit that gained or lost nets pays almost nothing here.
         """
-        nets = self.nets
+        nets = self._net_list()
         if (tuple(self.inputs) != snap.inputs
                 or len(self.latches) != snap.n_latches
                 or nets != snap.nets):
@@ -359,35 +362,32 @@ class Circuit:
         """
         region = set(nets)
         sub = Circuit(name or f"{self.name}_cone")
+        gates = [g for g in self.gates if g.output in region]
+        latches = [l for l in self.latches if l.output in region]
         ext: List[str] = []
         ext_seen = set(region)
-        for g in self.gates:
-            if g.output in region:
-                for n in g.inputs:
-                    if n not in ext_seen:
-                        ext_seen.add(n)
-                        ext.append(n)
-        for l in self.latches:
-            if l.output in region:
-                for n in ((l.data,) if l.enable is None
-                          else (l.data, l.enable)):
-                    if n not in ext_seen:
-                        ext_seen.add(n)
-                        ext.append(n)
+        for g in gates:
+            for n in g.inputs:
+                if n not in ext_seen:
+                    ext_seen.add(n)
+                    ext.append(n)
+        for l in latches:
+            for n in ((l.data,) if l.enable is None
+                      else (l.data, l.enable)):
+                if n not in ext_seen:
+                    ext_seen.add(n)
+                    ext.append(n)
         for n in self.inputs:
             if n in region:
                 sub.add_input(n)
         for n in ext:
             sub.add_input(n)
-        for g in self.gates:
-            if g.output in region:
-                sub.add_gate(g.gate_type, list(g.inputs),
-                             output=g.output, name=g.name)
-        for l in self.latches:
-            if l.output in region:
-                sub.add_latch(l.data, output=l.output, init=l.init,
-                              name=l.name, enable=l.enable,
-                              clocked=l.clocked)
+        for g in gates:
+            sub.add_gate(g.gate_type, list(g.inputs), output=g.output,
+                         name=g.name)
+        for l in latches:
+            sub.add_latch(l.data, output=l.output, init=l.init,
+                          name=l.name, enable=l.enable, clocked=l.clocked)
         return sub, ext
 
     # ------------------------------------------------------------------
@@ -501,10 +501,20 @@ class Circuit:
     # ------------------------------------------------------------------
     @property
     def nets(self) -> List[str]:
-        seen: List[str] = list(self.inputs)
-        seen.extend(l.output for l in self.latches)
-        seen.extend(g.output for g in self.gates)
-        return seen
+        """Every driven net: inputs, then latch outputs, then gate
+        outputs, in declaration order (a fresh list)."""
+        return list(self._net_list())
+
+    def _net_list(self) -> List[str]:
+        """:attr:`nets`, cached until the next structural mutation;
+        shared, so callers must not mutate it."""
+        cached = getattr(self, "_nets_cache", None)
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        nets = [*self.inputs, *map(attrgetter("output"), self.latches),
+                *map(attrgetter("output"), self.gates)]
+        self._nets_cache = (self._version, nets)
+        return nets
 
     def driver_of(self, net: str):
         """'input', a Gate, or a Latch; KeyError for undriven nets."""
@@ -523,7 +533,8 @@ class Circuit:
         """
         if self._fanout_cache is not None:
             return self._fanout_cache
-        fanout: Dict[str, List[Tuple[object, int]]] = {n: [] for n in self.nets}
+        fanout: Dict[str, List[Tuple[object, int]]] = {
+            n: [] for n in self._net_list()}
         for gate in self.gates:
             for pin, net in enumerate(gate.inputs):
                 fanout.setdefault(net, []).append((gate, pin))
@@ -623,7 +634,7 @@ class Circuit:
             if caps is None:
                 fanout = self.fanout_map()
                 caps = {net: self.load_capacitance(net, fanout)
-                        for net in self.nets}
+                        for net in self._net_list()}
                 if snap is not None and snap.caps is None:
                     snap.caps, snap.caps_outputs = caps, tuple(self.outputs)
                     snap.caps_specs = {t: gatelib.LIBRARY.get(t)
@@ -723,16 +734,15 @@ class Circuit:
         copy._cone_snap = getattr(self, "_cone_snap", None)
         copy.inputs = list(self.inputs)
         copy.outputs = list(self.outputs)
-        for g in self.gates:
-            copy.gates.append(Gate(g.name, g.gate_type, list(g.inputs),
-                                   g.output))
-            copy._driver[g.output] = copy.gates[-1]
-        for l in self.latches:
-            copy.latches.append(Latch(l.name, l.data, l.output, l.init,
-                                      l.enable, l.clocked))
-            copy._driver[l.output] = copy.latches[-1]
-        for n in self.inputs:
-            copy._driver[n] = "input"
+        copy.gates = gates = [Gate(g.name, g.gate_type, g.inputs[:],
+                                   g.output) for g in self.gates]
+        copy.latches = latches = [Latch(l.name, l.data, l.output, l.init,
+                                        l.enable, l.clocked)
+                                  for l in self.latches]
+        driver = copy._driver
+        driver.update(zip(map(attrgetter("output"), gates), gates))
+        driver.update(zip(map(attrgetter("output"), latches), latches))
+        driver.update(dict.fromkeys(self.inputs, "input"))
         return copy
 
     def __repr__(self) -> str:
@@ -806,11 +816,13 @@ class _ConeStructure:
     Holds the read set of every net, the cell type of every gate-driven
     net and the line of every latch-driven one, the SCCs in dependency
     order, the cone fingerprints and input supports, and (attached
-    once, by :meth:`Circuit.load_capacitances`) the load caps.  Its
-    dicts are never mutated after construction, so a clone that shares
-    it cannot see its parent's later edits; it holds no
-    :class:`Circuit`, so chains of clones do not pin their ancestors.
-    ``serial`` is unique per structure for the life of the process.
+    later, by :meth:`Circuit.load_capacitances` and
+    :func:`repro.logic.incremental.cone_keys`) the load caps and the
+    cone keys of the last stimulus.  Its dicts are never mutated after
+    construction, so a clone that shares it cannot see its parent's
+    later edits; it holds no :class:`Circuit`, so chains of clones do
+    not pin their ancestors.  ``serial`` is unique per structure for
+    the life of the process.
     """
 
     inputs: Tuple[str, ...]
@@ -833,6 +845,17 @@ class _ConeStructure:
     caps_base: Optional[Tuple[Dict[str, float], Tuple[str, ...],
                               Dict[str, Optional[GateSpec]],
                               List[str]]] = None
+    #: Serial of the structure :meth:`derive` made this one from (0
+    #: for a full build), and the nets it rehashed, in ``nets`` order:
+    #: every other net's fingerprint and support are the parent's.
+    parent: int = 0
+    rehashed: Tuple[str, ...] = ()
+    #: (stimulus identity, per-net keys) of the last
+    #: :func:`~repro.logic.incremental.cone_keys` call, and for a
+    #: derived structure its parent's at derive time.
+    keys: Optional[Tuple[tuple, Dict[str, tuple]]] = None
+    keys_base: Optional[Tuple[tuple, Dict[str, tuple]]] = None
+    _position: Optional[Dict[str, int]] = None
 
     @classmethod
     def build(cls, inputs: Tuple[str, ...], nets: List[str],
@@ -879,6 +902,12 @@ class _ConeStructure:
                           for net in scc}
         return self._rank
 
+    def position(self) -> Dict[str, int]:
+        """net -> index in ``nets``."""
+        if self._position is None:
+            self._position = {net: i for i, net in enumerate(self.nets)}
+        return self._position
+
     def derive(self, new_types: Dict[str, str],
                new_lines: Dict[str, str]) -> "_ConeStructure":
         """The structure after the gates in ``new_types`` changed cell
@@ -887,7 +916,8 @@ class _ConeStructure:
         Read sets are unchanged, so the SCC order, the supports and
         the fanout carry over; only the changed nets and their
         transitive fanout are rehashed, a whole SCC at a time, in
-        dependency order.
+        dependency order.  (The fanout of any SCC member reaches every
+        other member, so that closure already holds whole SCCs.)
         """
         changed = list(new_types) + list(new_lines)
         types, latch_lines = self.types, self.latch_lines
@@ -910,11 +940,15 @@ class _ConeStructure:
         order, reads = self.order, self.reads
         for index in sorted({rank[net] for net in dirty}):
             _hash_component(order[index], reads, types, latch_lines, fps)
+        position = self.position()
         return _ConeStructure(
             self.inputs, self.nets, self.n_latches, reads, types,
             latch_lines, order, fps, self.supports, _fanout=fanout,
             _rank=rank, caps_base=None if self.caps is None else (
-                self.caps, self.caps_outputs, self.caps_specs, changed))
+                self.caps, self.caps_outputs, self.caps_specs, changed),
+            parent=self.serial,
+            rehashed=tuple(sorted(dirty, key=position.__getitem__)),
+            keys_base=self.keys, _position=position)
 
 
 def _tarjan_sccs(deps: Dict[str, Tuple[str, ...]]

@@ -254,6 +254,16 @@ class TestCycleConvention:
                 fastsim.collect_activity(circuit, vectors),
                 _collect_activity_reference(circuit, vectors))
 
+    @settings(deadline=None, max_examples=200)
+    @given(n=st.integers(1, 140), word=st.integers(-(1 << 150), 1 << 150))
+    def test_lane_counts_match_the_bits(self, n, word):
+        """Lane counts == a bit-by-bit count over cycles 0..n-1, for
+        words wider than ``n`` and negative words too."""
+        bits = [(word >> i) & 1 for i in range(n)]
+        toggles = sum(bits[i] != bits[i - 1] for i in range(1, n))
+        assert fastsim.lane_counts(word, n) == (sum(bits), toggles,
+                                                bits[-1])
+
 
 class TestCompiledPlanCaching:
     def test_plan_reused_until_mutation(self):

@@ -10,6 +10,7 @@ store corruption degrading to a miss, estimator memoization) and the
 rewired optimization passes.
 """
 
+import copy
 import json
 import random
 
@@ -50,6 +51,16 @@ def edit_gates(circuit: Circuit, indices, rng) -> Circuit:
             [t for t in GATE_TYPES if t != gate.gate_type])
     variant.invalidate()
     return variant
+
+
+class CountingDict(dict):
+    """A dict that counts ``get`` calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
 
 
 def assert_delta_equals_full(base, variant, vectors, engine=None):
@@ -365,6 +376,9 @@ class TestPrimeMemo:
         self.base = random_logic(6, 80, 3, seed=12)
         self.vectors = random_packed_vectors(list(self.base.inputs), 64,
                                              seed=1)
+        # Variants cloned after the base's cone structure exists start
+        # from the primed base's records.
+        self.base.cone_fingerprints()
         self.variants = [edit_gates(self.base, [k], random.Random(k))
                          for k in range(8)]
 
@@ -382,17 +396,89 @@ class TestPrimeMemo:
         step(self.variants[1], self.vectors)
         assert len(base_runs) == 2
 
-    def test_primes_again_after_eviction(self, lockstep):
+    def test_variant_evictions_keep_the_base_primed(self, lockstep):
         base_runs, step = lockstep
         cache = inc.ConeCache()
         step(self.variants[0], self.vectors, cache=cache)
-        # Room for nothing more: the next variant's records evict.
-        cache.max_bytes = cache._bytes
-        self.reference.max_bytes = self.reference._bytes
-        step(self.variants[1], self.vectors, cache=cache)
-        assert len(base_runs) == 1 and cache.evictions
-        step(self.variants[2], self.vectors, cache=cache)
-        assert len(base_runs) == 2
+        pinned = cache.stats()["pinned_bytes"]
+        assert 0 < pinned < cache.stats()["bytes"]
+        # Room for the base plus any one variant's records, but not
+        # for all of them: later variants evict earlier ones.
+        per_record = next(iter(cache._entries.values())).nbytes()
+        cache.max_bytes = pinned + 100 * per_record
+        self.reference.max_bytes = cache.max_bytes
+        for variant in self.variants[1:]:
+            step(variant, self.vectors, cache=cache)
+        stats = cache.stats()
+        assert stats["evictions"] and stats["bytes"] <= stats["max_bytes"]
+        assert len(base_runs) == 1 and stats["primes"] == 1
+        assert stats["pinned_bytes"] == pinned
+
+    def test_base_eviction_primes_again(self):
+        cache = inc.ConeCache()
+        inc.estimate_delta(self.base, self.variants[0], self.vectors,
+                           cache=cache)
+        # Less room than the base alone: once the variants' records
+        # are gone, the next variant's records evict the base's.
+        cache.max_bytes = cache.stats()["pinned_bytes"] - 1
+        for k in (1, 2):
+            variant = self.variants[k]
+            got, _ = inc.estimate_delta(self.base, variant, self.vectors,
+                                        cache=cache)
+            assert inc.reports_equal(
+                got, collect_activity(variant, self.vectors))
+            stats = cache.stats()
+            assert stats["bytes"] <= stats["max_bytes"]
+            assert stats["primes"] == k and stats["pinned_bytes"] == 0
+
+    def test_a_base_that_cannot_fit_releases_the_others(self):
+        """A prime that loses its own records to the pinned records of
+        an older base is not remembered; it releases the older base,
+        so the next prime of the new base fits and is remembered."""
+        other = random_logic(6, 80, 3, seed=13)
+        cache = inc.ConeCache()
+        inc.prime(other, self.vectors, cache=cache)
+        pinned = cache.stats()["pinned_bytes"]
+        cache.max_bytes = pinned * 3 // 2
+        for primes, pinned_after in ((2, 0), (3, None)):
+            inc.estimate_delta(self.base, self.variants[0], self.vectors,
+                               cache=cache)
+            stats = cache.stats()
+            assert stats["primes"] == primes
+            assert stats["bytes"] <= stats["max_bytes"]
+            if pinned_after is not None:
+                assert stats["pinned_bytes"] == pinned_after
+        assert 0 < cache.stats()["pinned_bytes"] <= cache.max_bytes
+        got, _ = inc.estimate_delta(self.base, self.variants[1],
+                                    self.vectors, cache=cache)
+        assert cache.stats()["primes"] == 3
+        assert inc.reports_equal(
+            got, collect_activity(self.variants[1], self.vectors))
+
+    def test_record_copy_matches_probing_every_net(self):
+        """A variant derived from a primed base probes only the nets
+        its edit rehashed, with the same report, DeltaStats and
+        counters as a copy of the cache that probes every net."""
+        cache = inc.ConeCache()
+        inc.prime(self.base, self.vectors, cache=cache)
+        for variant in self.variants:
+            probing = copy.deepcopy(cache)
+            for token in list(probing._primed):
+                probing._release(token)
+            cache._entries = CountingDict(cache._entries)
+            got, got_stats = inc.delta_activity(variant, self.vectors,
+                                                cache=cache,
+                                                populate=False)
+            want, want_stats = inc.delta_activity(
+                variant, self.vectors, cache=probing, populate=False)
+            assert inc.reports_equal(got, want)
+            assert got_stats == want_stats
+            assert (cache.hits, cache.misses) == (probing.hits,
+                                                  probing.misses)
+            rehashed = variant._cone_structure().rehashed
+            assert 0 < cache._entries.gets == len(rehashed) \
+                < got_stats.total_nets - len(self.base.inputs)
+            cache._entries = dict(cache._entries)
 
     def test_prime_that_evicts_is_not_remembered(self, lockstep):
         base_runs, step = lockstep
@@ -422,6 +508,119 @@ class TestPrimeMemo:
         self.base.invalidate()
         step(self.variants[1], self.vectors)
         assert len(base_runs) == 2
+
+
+# ----------------------------------------------------------------------
+# Derived variants: keys and records carried over from the parent
+# ----------------------------------------------------------------------
+SAME_ARITY = {1: ("INV", "BUF"), 2: tuple(GATE_TYPES),
+              3: ("NAND3", "NOR3", "AOI21")}
+
+
+def feedback_circuit(rng: random.Random) -> Circuit:
+    """Random gates over inputs and flop outputs; every flop's data
+    (and some enables) is driven back from the gates."""
+    c = Circuit("fb")
+    c.add_inputs([f"i{k}" for k in range(rng.randint(2, 4))])
+    for k in range(rng.randint(1, 3)):
+        c.add_latch(f"d{k}", output=f"q{k}", init=rng.randint(0, 1),
+                    enable=f"e{k}" if rng.random() < 0.5 else None)
+    nets = list(c.inputs) + [l.output for l in c.latches]
+    for _ in range(rng.randint(4, 16)):
+        arity = rng.choice((1, 2, 2, 3))
+        nets.append(c.add_gate(rng.choice(SAME_ARITY[arity]),
+                               [rng.choice(nets) for _ in range(arity)]))
+    for latch in list(c.latches):
+        c.add_gate("BUF", [rng.choice(nets)], output=latch.data)
+        if latch.enable is not None:
+            c.add_gate("OR2", [rng.choice(nets), rng.choice(nets)],
+                       output=latch.enable)
+    c.add_output(nets[-1])
+    return c
+
+
+class TestDerivedVariants:
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10**6),
+           steps=st.lists(st.tuples(st.sampled_from(
+               ("retype", "init", "clocked", "clone")),
+               st.integers(0, 7)), min_size=1, max_size=10))
+    def test_derived_keys_match_scratch(self, seed, steps):
+        """Keys of a structure derived by retypes and latch-line edits,
+        along clone-of-clone chains, == keys of the same circuit built
+        from scratch; queries alternate two stimuli, both engines and
+        two lengths, so no memo serves another query's keys.  Each
+        edited clone is also re-estimated against its parent."""
+        rng = random.Random(seed)
+        c = feedback_circuit(rng)
+        a = random_packed_vectors(list(c.inputs), 48, seed=seed)
+        b = random_packed_vectors(list(c.inputs), 48, seed=seed + 1)
+        queries = [(a, "fast"), (b, "reference"), (a.slice(0, 20), "fast"),
+                   (b, "fast"), (a, "reference")]
+        cache = inc.ConeCache()
+
+        def check(circuit, q):
+            packed, engine = queries[q % len(queries)]
+            scratch = Circuit.from_dict(circuit.to_dict())
+            assert inc.cone_keys(circuit, packed, engine) \
+                == inc.cone_keys(scratch, packed, engine)
+
+        check(c, 0)
+        parent = c
+        for kind, q in steps:
+            if kind == "clone":
+                parent, c = c, c.clone()
+            elif kind == "retype":
+                g = rng.choice(c.gates)
+                g.gate_type = rng.choice(
+                    [t for t in SAME_ARITY[len(g.inputs)]
+                     if t != g.gate_type])
+            else:
+                latch = rng.choice(c.latches)
+                if kind == "init":
+                    latch.init ^= 1
+                else:
+                    latch.clocked = not latch.clocked
+            c.invalidate()
+            check(c, q)
+            packed, engine = queries[q % len(queries)]
+            got, _ = inc.estimate_delta(parent, c, packed, engine=engine,
+                                        cache=cache)
+            assert inc.reports_equal(
+                got, collect_activity(c, packed, engine=engine))
+
+    def test_retype_rekeys_only_the_rehashed_nets(self):
+        base = random_logic(6, 80, 3, seed=5)
+        vectors = random_packed_vectors(list(base.inputs), 64, seed=2)
+        base_keys = inc.cone_keys(base, vectors, "fast")
+        variant = edit_gates(base, [3], random.Random(3))
+        keys = inc.cone_keys(variant, vectors, "fast")
+        rehashed = set(variant._cone_structure().rehashed)
+        assert rehashed and len(rehashed) < len(keys)
+        for net, key in keys.items():
+            if net in rehashed:
+                assert key[0] != base_keys[net][0]
+                assert key[1] is base_keys[net][1]
+            else:
+                assert key is base_keys[net]
+        assert inc.cone_keys(variant, vectors, "fast") is keys
+
+    def test_input_records_follow_the_words(self):
+        """Two stimuli with the same names and different words get
+        different input records (they are memoized per stimulus)."""
+        c = random_logic(4, 30, 2, seed=6)
+        a = random_packed_vectors(list(c.inputs), 64, seed=1)
+        b = PackedVectors(list(a.names), a.n,
+                          {k: w ^ 0x5A5A for k, w in a.words.items()})
+        cache = inc.ConeCache()
+        for packed in (a, b, a, b):
+            report, _ = inc.delta_activity(c, packed, cache=cache)
+            assert inc.reports_equal(report, collect_activity(c, packed))
+        got_a = inc._input_records(a, c.inputs)
+        got_b = inc._input_records(b, c.inputs)
+        assert all(got_a[n].lane != got_b[n].lane for n in c.inputs)
+        assert got_a != got_b
+        assert inc._input_records(a, c.inputs) == got_a
 
 
 # ----------------------------------------------------------------------

@@ -113,6 +113,19 @@ class TestCircuitStructure:
         assert "extra" not in c.inputs
         assert [g.output for g in d.gates] == [g.output for g in c.gates]
 
+    def test_nets_is_a_fresh_list_that_follows_edits(self):
+        c = parity_tree(4)
+        nets = c.nets
+        nets.append("junk")
+        assert "junk" not in c.nets and c.nets == c.nets
+        d = c.clone()
+        out = d.add_gate("INV", [d.inputs[0]], output="extra")
+        assert d.nets[-1] == out and out not in c.nets
+        gate = d.gates.pop()
+        del d._driver[gate.output]
+        d.invalidate()
+        assert d.nets == c.nets
+
 
 class TestFunctionalSimulation:
     @pytest.mark.parametrize("width", [1, 2, 4, 6])
