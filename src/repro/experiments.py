@@ -70,8 +70,8 @@ EXPERIMENTS: List[Experiment] = [
                "bench_perf_learned.py", kind="perf"),
     Experiment("P8", "incremental cone re-estimation vs full resim",
                "bench_perf_incremental.py", kind="perf"),
-    Experiment("P9", "parallel candidate search: pool fan-out with "
-               "store warm starts vs the serial walk",
+    Experiment("P9", "candidate-search pool: annealing restarts and "
+               "population characterization vs the serial walk",
                "bench_perf_search.py", kind="perf"),
 ]
 

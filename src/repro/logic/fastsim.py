@@ -222,8 +222,15 @@ def _truth_table_expression(spec: GateSpec, ins: List[str]) -> str:
 
 
 def _expression(spec: GateSpec, ins: List[str]) -> str:
-    """Bitwise bignum expression computing the gate on packed words."""
+    """Bitwise bignum expression computing the gate on packed words.
+
+    The hand-written kernels are the shipped cells' functions; a cell
+    registered again under a shipped name lowers through its own
+    truth table.
+    """
     name = spec.name
+    if spec is not gatelib.BUILTIN.get(name):
+        return _truth_table_expression(spec, ins)
     if name in ("AND2", "AND3", "AND4"):
         return "(" + " & ".join(ins) + ")"
     if name in ("OR2", "OR3", "OR4"):

@@ -123,6 +123,11 @@ _register(GateSpec("AOI21", 3, _aoi21, 1.2, 0.7, 1.6, 1.4))
 _register(GateSpec("CONST0", 0, _const0, 0.0, 0.2, 0.0, 0.1))
 _register(GateSpec("CONST1", 0, _const1, 0.0, 0.2, 0.0, 0.1))
 
+#: The library as shipped.  Cells can be registered again at run time;
+#: structural fingerprints hash a cell's truth table only where it
+#: differs from the one shipped under its name.
+BUILTIN: Dict[str, GateSpec] = dict(LIBRARY)
+
 # Sequential elements are handled structurally by the netlist (Latch
 # records), but their electrical parameters live here so power models
 # can account for clock and data pin loading.
@@ -148,6 +153,14 @@ def gate_spec(name: str) -> GateSpec:
         raise KeyError(
             f"unknown gate type {name!r}; known: {sorted(LIBRARY)}"
         ) from None
+
+
+def truth_table(spec: GateSpec) -> int:
+    """The cell's function as an integer: bit ``r`` is its output on
+    row ``r``, whose input ``i`` is bit ``i`` of ``r``."""
+    k = spec.n_inputs
+    return sum(1 << r for r in range(1 << k)
+               if spec.fn(tuple((r >> i) & 1 for i in range(k))))
 
 
 def wire_capacitance(fanout: int) -> float:

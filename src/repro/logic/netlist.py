@@ -135,7 +135,11 @@ class Circuit:
         names and their drivers (gates with their cell types and input
         order, latches with data/enable/init/clocking), the primary
         input/output sets, and the library parameters (delays,
-        capacitances) of every cell type used.  Deliberately
+        capacitances) of every cell type used, with a digest of its
+        truth table where that differs from the function shipped
+        under its name (so a built-in-only circuit hashes as it
+        always has, and a cell registered again with another
+        function gets a new key).  Deliberately
         *excluded*: the circuit and instance names, the order in which
         gates/latches/inputs were added (the description is
         canonicalized by sorting on driven nets), and every derived
@@ -171,7 +175,7 @@ class Circuit:
             spec = gate_spec(gate_type)
             yield (f"spec:{gate_type}:{spec.n_inputs}:{spec.delay!r}:"
                    f"{spec.input_cap!r}:{spec.output_cap!r}:"
-                   f"{spec.area!r}")
+                   f"{spec.area!r}{_function_token(gate_type)}")
         if self.latches:
             yield ("dff:"
                    f"{gatelib.DFF_INPUT_CAP!r}:{gatelib.DFF_OUTPUT_CAP!r}:"
@@ -221,7 +225,10 @@ class Circuit:
         recursively the same cones on every fanin — closed over latch
         feedback (a feedback strongly-connected component is hashed as
         a unit, so editing anywhere inside a loop dirties the whole
-        loop).  Unlike :meth:`fingerprint`, net names *matter* here:
+        loop).  A cell's function counts as in :meth:`fingerprint`,
+        and a structure hashed before a cell was registered again is
+        rebuilt, never reused or derived from.  Unlike
+        :meth:`fingerprint`, net names *matter* here:
         the incremental engine matches cones between a base circuit
         and an edited clone by name, so a renamed net is a different
         cone.  Library capacitances are deliberately excluded — cached
@@ -257,6 +264,8 @@ class Circuit:
         and otherwise runs the full one-pass build.
         """
         snap = getattr(self, "_cone_snap", None)
+        if snap is not None and not _specs_current(snap.specs):
+            snap = None             # a cell was registered again since
         if snap is not None and self._cone_snap_version == self._version:
             return snap
         changed = self._changed_drivers(snap) if snap is not None else None
@@ -628,7 +637,9 @@ class Circuit:
         """
         if self._caps_cache is None:
             snap = getattr(self, "_cone_snap", None)
-            if snap is not None and self._cone_snap_version != self._version:
+            if snap is not None and (
+                    self._cone_snap_version != self._version
+                    or not _specs_current(snap.specs)):
                 snap = None
             caps = self._structure_caps(snap) if snap is not None else None
             if caps is None:
@@ -637,8 +648,6 @@ class Circuit:
                         for net in self._net_list()}
                 if snap is not None and snap.caps is None:
                     snap.caps, snap.caps_outputs = caps, tuple(self.outputs)
-                    snap.caps_specs = {t: gatelib.LIBRARY.get(t)
-                                       for t in set(snap.types.values())}
             self._caps_cache = caps
         return self._caps_cache
 
@@ -646,33 +655,24 @@ class Circuit:
                         ) -> Optional[Dict[str, float]]:
         """Caps from the current cone structure, or ``None``.
 
-        Stored caps are valid only for the outputs and the library
-        entries (by identity: cells can be registered again at run
-        time) they were computed against.  A structure derived by
-        driver edits copies its parent's caps and recomputes the
-        edited drivers' nets and the nets they read, summing
-        consumers in :meth:`fanout_map` order so every float is
-        bit-identical to a rebuild.
+        ``snap``'s library entries are current (checked by the caller),
+        so stored caps are valid exactly for the outputs they were
+        computed against.  A structure derived by driver edits copies
+        its parent's caps and recomputes the edited drivers' nets and
+        the nets they read, summing consumers in :meth:`fanout_map`
+        order so every float is bit-identical to a rebuild.
         """
         outputs = tuple(self.outputs)
         if snap.caps is not None:
-            if snap.caps_outputs == outputs and _specs_current(
-                    snap.caps_specs):
-                return snap.caps
-            return None
+            return snap.caps if snap.caps_outputs == outputs else None
         base = snap.caps_base
-        if (base is None or base[1] != outputs
-                or not _specs_current(base[2])):
+        if base is None or base[1] != outputs:
             return None
         caps = dict(base[0])
-        specs = dict(base[2])
         touched: Dict[str, None] = {}
-        for net in base[3]:
+        for net in base[2]:
             touched[net] = None
             touched.update(dict.fromkeys(snap.reads[net]))
-            gate_type = snap.types.get(net)
-            if gate_type is not None:
-                specs[gate_type] = gatelib.LIBRARY.get(gate_type)
         fanout, reads, driver = snap.fanout(), snap.reads, self._driver
         for net in touched:
             if net not in caps:
@@ -684,7 +684,7 @@ class Circuit:
                                  if d == net)
             consumers.extend([("output", 0)] * outputs.count(net))
             caps[net] = self.load_capacitance(net, {net: consumers})
-        snap.caps, snap.caps_outputs, snap.caps_specs = caps, outputs, specs
+        snap.caps, snap.caps_outputs = caps, outputs
         snap.caps_base = None
         return caps
 
@@ -762,6 +762,31 @@ def _specs_current(specs: Dict[str, Optional[GateSpec]]) -> bool:
     return all(library.get(t) is spec for t, spec in specs.items())
 
 
+#: gate type -> (the library entry its token was computed for, token).
+_FUNCTION_TOKENS: Dict[str, Tuple[GateSpec, str]] = {}
+
+
+def _function_token(gate_type: str) -> str:
+    """What the fingerprints add for ``gate_type``'s function: ``""``
+    while it computes the function shipped under its name, else
+    ``#`` and a digest of its truth table.  Cached per library entry.
+    """
+    spec = gatelib.LIBRARY.get(gate_type)
+    builtin = gatelib.BUILTIN.get(gate_type)
+    if spec is None or spec is builtin:
+        return ""
+    hit = _FUNCTION_TOKENS.get(gate_type)
+    if hit is None or hit[0] is not spec:
+        table = gatelib.truth_table(spec)
+        same = (builtin is not None
+                and builtin.n_inputs == spec.n_inputs
+                and gatelib.truth_table(builtin) == table)
+        token = "" if same else "#" + hashlib.sha256(
+            f"{spec.n_inputs}:{table:x}".encode("ascii")).hexdigest()
+        hit = _FUNCTION_TOKENS[gate_type] = (spec, token)
+    return hit[1]
+
+
 def _hash_component(scc: Tuple[str, ...],
                     reads: Dict[str, Tuple[str, ...]],
                     types: Dict[str, str], latch_lines: Dict[str, str],
@@ -769,15 +794,17 @@ def _hash_component(scc: Tuple[str, ...],
     """Write the cone fingerprints of one SCC's members into ``fps``.
 
     Every fanin outside the SCC must already be in ``fps``.  A net's
-    canonical line is its latch line, else its gate line (cell type,
-    read nets, net), else ``i:<net>`` for a free input.
+    canonical line is its latch line, else its gate line (cell type
+    with its :func:`_function_token`, read nets, net), else
+    ``i:<net>`` for a free input.
     """
     def line(net: str) -> bytes:
         text = latch_lines.get(net)
         if text is None:
             gate_type = types.get(net)
             text = (f"i:{net}" if gate_type is None else
-                    f"g:{gate_type}:{','.join(reads[net])}>{net}")
+                    f"g:{gate_type}{_function_token(gate_type)}:"
+                    f"{','.join(reads[net])}>{net}")
         return text.encode("utf-8")
 
     if len(scc) == 1 and scc[0] not in reads[scc[0]]:
@@ -814,9 +841,10 @@ class _ConeStructure:
     """Cone structure of one circuit version: one pass, never mutated.
 
     Holds the read set of every net, the cell type of every gate-driven
-    net and the line of every latch-driven one, the SCCs in dependency
-    order, the cone fingerprints and input supports, and (attached
-    later, by :meth:`Circuit.load_capacitances` and
+    net and the line of every latch-driven one, the library entry of
+    every cell type it hashed (valid while :func:`_specs_current`), the
+    SCCs in dependency order, the cone fingerprints and input supports,
+    and (attached later, by :meth:`Circuit.load_capacitances` and
     :func:`repro.logic.incremental.cone_keys`) the load caps and the
     cone keys of the last stimulus.  Its dicts are never mutated after
     construction, so a clone that shares it cannot see its parent's
@@ -834,16 +862,15 @@ class _ConeStructure:
     order: List[Tuple[str, ...]]
     fps: Dict[str, str]
     supports: Dict[str, int]
+    specs: Dict[str, Optional[GateSpec]]
     serial: int = field(default_factory=lambda: next(_structure_serial))
     _fanout: Optional[Dict[str, List[str]]] = None
     _rank: Optional[Dict[str, int]] = None
     caps: Optional[Dict[str, float]] = None
     caps_outputs: Tuple[str, ...] = ()
-    caps_specs: Dict[str, Optional[GateSpec]] = field(default_factory=dict)
-    #: (parent caps, their outputs, their specs, changed nets) for a
-    #: structure derived from one that had caps.
+    #: (parent caps, their outputs, changed nets) for a structure
+    #: derived from one that had caps.
     caps_base: Optional[Tuple[Dict[str, float], Tuple[str, ...],
-                              Dict[str, Optional[GateSpec]],
                               List[str]]] = None
     #: Serial of the structure :meth:`derive` made this one from (0
     #: for a full build), and the nets it rehashed, in ``nets`` order:
@@ -864,6 +891,7 @@ class _ConeStructure:
               latch_lines: Dict[str, str]) -> "_ConeStructure":
         """Fingerprints and supports from one SCC walk."""
         order = _tarjan_sccs(reads)
+        specs = {t: gatelib.LIBRARY.get(t) for t in set(types.values())}
         input_bit = {net: 1 << i for i, net in enumerate(inputs)}
         fps: Dict[str, str] = {}
         masks: Dict[str, int] = {}
@@ -879,7 +907,7 @@ class _ConeStructure:
             for m in scc:
                 masks[m] = mask
         return cls(inputs, nets, n_latches, reads, types, latch_lines,
-                   order, fps, masks)
+                   order, fps, masks, specs)
 
     def fanout(self) -> Dict[str, List[str]]:
         """net -> the nets whose drivers read it, once each, in
@@ -920,10 +948,13 @@ class _ConeStructure:
         other member, so that closure already holds whole SCCs.)
         """
         changed = list(new_types) + list(new_lines)
-        types, latch_lines = self.types, self.latch_lines
+        types, latch_lines, specs = self.types, self.latch_lines, self.specs
         if new_types:
             types = dict(types)
             types.update(new_types)
+            specs = dict(specs)
+            specs.update((t, gatelib.LIBRARY.get(t))
+                         for t in new_types.values())
         if new_lines:
             latch_lines = dict(latch_lines)
             latch_lines.update(new_lines)
@@ -943,9 +974,10 @@ class _ConeStructure:
         position = self.position()
         return _ConeStructure(
             self.inputs, self.nets, self.n_latches, reads, types,
-            latch_lines, order, fps, self.supports, _fanout=fanout,
-            _rank=rank, caps_base=None if self.caps is None else (
-                self.caps, self.caps_outputs, self.caps_specs, changed),
+            latch_lines, order, fps, self.supports, specs,
+            _fanout=fanout, _rank=rank,
+            caps_base=None if self.caps is None else (
+                self.caps, self.caps_outputs, changed),
             parent=self.serial,
             rehashed=tuple(sorted(dirty, key=position.__getitem__)),
             keys_base=self.keys, _position=position)

@@ -45,7 +45,12 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.obs.manifest import run_manifest
 
 __all__ = ["discover_benches", "run_bench", "run_sweep",
-           "gate_regressions", "main", "SMOKE_BENCHES"]
+           "gate_regressions", "main", "SMOKE_BENCHES", "SOLO_BENCHES"]
+
+#: Benches that time a process pool against the serial walk.  A pool
+#: gate needs every CPU, so a sweep runs these one at a time after the
+#: others have finished.
+SOLO_BENCHES = ("bench_perf_search.py",)
 
 #: Benches exercised by ``--smoke`` (CI) runs: all 21 paper-claim
 #: benches (each reproduces one Table I row, figure or text claim in
@@ -112,7 +117,6 @@ def discover_benches(bench_dir: Path) -> List[Path]:
 # ----------------------------------------------------------------------
 def _child_env(bench_dir: Path, telemetry_path: Path,
                trace: bool, store_dir: Optional[Path] = None,
-               search_workers: Optional[str] = None,
                cone_cache_bytes: Optional[int] = None
                ) -> Dict[str, str]:
     env = dict(os.environ)
@@ -127,8 +131,6 @@ def _child_env(bench_dir: Path, telemetry_path: Path,
         env.pop("REPRO_OBS_EXPORT", None)
     if store_dir is not None:
         env["REPRO_STORE"] = str(store_dir)
-    if search_workers is not None:
-        env["REPRO_SEARCH_WORKERS"] = str(search_workers)
     if cone_cache_bytes is not None:
         env["REPRO_CONE_CACHE_BYTES"] = str(cone_cache_bytes)
     return env
@@ -159,7 +161,6 @@ def _telemetry_digest(path: Path) -> Optional[Dict[str, Any]]:
 def run_bench(bench: Path, timeout: float, trace: bool = True,
               retries: int = 1,
               store_dir: Optional[Path] = None,
-              search_workers: Optional[str] = None,
               cone_cache_bytes: Optional[int] = None) -> Dict[str, Any]:
     """Run one bench file under pytest in a subprocess.
 
@@ -170,10 +171,9 @@ def run_bench(bench: Path, timeout: float, trace: bool = True,
     raises — an un-runnable bench is a *result*, not an error.
     ``store_dir`` exports ``REPRO_STORE`` so all benches share one
     plan store (a structure compiled by any bench rehydrates in every
-    other).  ``search_workers`` and ``cone_cache_bytes`` export
-    ``REPRO_SEARCH_WORKERS`` / ``REPRO_CONE_CACHE_BYTES`` so the
-    candidate-search pool width and cone-cache budget are sweep
-    configuration, recorded in BENCH_ALL alongside the store.
+    other).  ``cone_cache_bytes`` exports ``REPRO_CONE_CACHE_BYTES``
+    so the cone-cache budget is sweep configuration, recorded in
+    BENCH_ALL alongside the store.
     """
     attempts = 0
     entry: Dict[str, Any] = {"bench": bench.name}
@@ -188,8 +188,7 @@ def run_bench(bench: Path, timeout: float, trace: bool = True,
                 proc = subprocess.run(
                     cmd, cwd=str(bench.parent), timeout=timeout,
                     env=_child_env(bench.parent, telemetry_path, trace,
-                                   store_dir, search_workers,
-                                   cone_cache_bytes),
+                                   store_dir, cone_cache_bytes),
                     stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                     text=True)
                 duration = time.perf_counter() - start
@@ -277,10 +276,10 @@ def gate_regressions(baselines: Dict[str, Dict[str, Any]],
 def run_sweep(benches: Sequence[Path], jobs: int, timeout: float,
               trace: bool = True, retries: int = 1,
               progress=None, store_dir: Optional[Path] = None,
-              search_workers: Optional[str] = None,
               cone_cache_bytes: Optional[int] = None
               ) -> Dict[str, Dict[str, Any]]:
-    """Fan the benches out over a worker pool; collect every result."""
+    """Fan the benches out over a worker pool, then run the
+    :data:`SOLO_BENCHES` one at a time; collect every result."""
     results: Dict[str, Dict[str, Any]] = {}
     if not benches:
         return results
@@ -288,17 +287,18 @@ def run_sweep(benches: Sequence[Path], jobs: int, timeout: float,
     def work(bench: Path) -> Dict[str, Any]:
         entry = run_bench(bench, timeout=timeout, trace=trace,
                           retries=retries, store_dir=store_dir,
-                          search_workers=search_workers,
                           cone_cache_bytes=cone_cache_bytes)
         if progress is not None:
             progress(entry)
         return entry
 
-    if jobs <= 1 or len(benches) == 1:
-        entries = [work(b) for b in benches]
+    shared = [b for b in benches if b.name not in SOLO_BENCHES]
+    if jobs <= 1 or len(shared) <= 1:
+        entries = [work(b) for b in shared]
     else:
-        with ThreadPool(processes=min(jobs, len(benches))) as pool:
-            entries = pool.map(work, benches)
+        with ThreadPool(processes=min(jobs, len(shared))) as pool:
+            entries = pool.map(work, shared)
+    entries += [work(b) for b in benches if b.name in SOLO_BENCHES]
     for entry in entries:
         results[entry["bench"]] = {k: v for k, v in entry.items()
                                    if k != "bench"}
@@ -364,10 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-store", action="store_true",
                         help="run bench workers without a shared "
                              "plan store")
-    parser.add_argument("--search-workers", metavar="N", default=None,
-                        help="candidate-search pool width exported to "
-                             "bench workers as REPRO_SEARCH_WORKERS "
-                             "(an integer or 'auto')")
     parser.add_argument("--cone-cache-bytes", metavar="BYTES",
                         type=int, default=None,
                         help="cone-cache budget exported to bench "
@@ -440,7 +436,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         results = run_sweep(benches, jobs=jobs, timeout=timeout,
                             trace=not args.no_trace, progress=progress,
                             store_dir=store_dir,
-                            search_workers=args.search_workers,
                             cone_cache_bytes=args.cone_cache_bytes)
     finally:
         if store_tmp is not None:
@@ -454,7 +449,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "timeout_s": timeout,
         "trace": not args.no_trace,
         "store": str(store_dir) if store_dir else None,
-        "search_workers": args.search_workers,
         "cone_cache_bytes": args.cone_cache_bytes,
         "tolerance": args.tolerance,
         "bench_dir": str(bench_dir),

@@ -31,7 +31,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -564,18 +564,15 @@ def default_survey_codes(width: int,
 def survey_codes(stream: WordStream,
                  codes: Optional[Sequence[BusCode]] = None,
                  check_decode: bool = True,
-                 engine: Optional[str] = None,
-                 workers: Union[int, str, None] = None
+                 engine: Optional[str] = None
                  ) -> List[BusReport]:
     """Count transitions for every candidate code over one stream.
 
     The scheme-survey candidate loop: each code is an independent
-    candidate, fanned over the shared search pool
-    (:mod:`repro.optimization.search`) with the stream shipped once
-    per worker.  Reports come back in code order, bit-identical to a
-    serial :func:`count_transitions` walk.  Stateful codes (e.g. a
-    trained :class:`BeachCode`) are pickled with their state and reset
-    before encoding, exactly as the serial path does.
+    candidate of one walk
+    (:func:`repro.optimization.search.evaluate_candidates`).  Reports
+    come back in code order, identical to calling
+    :func:`count_transitions` per code.
     """
     from repro.optimization import search
 
@@ -585,7 +582,7 @@ def survey_codes(stream: WordStream,
         _count_job, list(codes),
         stimuli={"stream": stream},
         extras={"check_decode": check_decode},
-        workers=workers, engine=engine, label="bus_encoding")
+        engine=engine, label="bus_encoding")
 
 
 # ----------------------------------------------------------------------

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.fsm.encoding import Encoding, binary_encoding
 from repro.fsm.stg import STG
 from repro.fsm.synthesis import _cube_minterms, synthesize_fsm
 from repro.logic import gates as gatelib
 from repro.logic.netlist import Circuit
-from repro.logic.simulate import collect_activity
 from repro.logic.synthesis import InverterCache, synthesize_cover
 from repro.twolevel.quine_mccluskey import minimize
 
@@ -107,9 +106,7 @@ def evaluate_clock_gating(stg: STG, encoding: Optional[Encoding] = None,
                           bit_probs: Optional[Sequence[float]] = None,
                           simplify_fraction: float = 1.0,
                           engine: Optional[str] = None,
-                          incremental: bool = True,
-                          cross_check: bool = False,
-                          workers: Union[int, str, None] = None
+                          incremental: bool = True
                           ) -> GatedClockReport:
     """Compare plain vs gated synthesis of the same machine.
 
@@ -124,17 +121,13 @@ def evaluate_clock_gating(stg: STG, encoding: Optional[Encoding] = None,
     the cone cache (:mod:`repro.logic.incremental`): across a
     ``simplify_fraction`` sweep the plain machine and every cone the
     edit doesn't reach are spliced from cache instead of resimulated,
-    bit-identically.  ``workers`` fans the plain/gated measurements
-    over the shared search pool.  ``cross_check`` additionally reruns
-    the full engine and asserts exact equality (used by the bench
-    gates).
+    bit-identically.
     """
     return sweep_clock_gating(stg, [simplify_fraction],
                               encoding=encoding, cycles=cycles,
                               seed=seed, bit_probs=bit_probs,
-                              engine=engine, incremental=incremental,
-                              cross_check=cross_check,
-                              workers=workers)[0]
+                              engine=engine,
+                              incremental=incremental)[0]
 
 
 def gating_stimulus(stg: STG, cycles: int = 400, seed: int = 0,
@@ -156,20 +149,17 @@ def sweep_clock_gating(stg: STG, fractions: Sequence[float],
                        cycles: int = 400, seed: int = 0,
                        bit_probs: Optional[Sequence[float]] = None,
                        engine: Optional[str] = None,
-                       incremental: bool = True,
-                       cross_check: bool = False,
-                       workers: Union[int, str, None] = None
+                       incremental: bool = True
                        ) -> List[GatedClockReport]:
     """One :class:`GatedClockReport` per ``simplify_fraction``.
 
     The candidate loop of the pass: the plain machine plus every
-    gated variant are measured in a single fan-out over the shared
-    search pool (:mod:`repro.optimization.search`), so a wide
-    fraction sweep keeps all workers busy while the cone cache
-    splices the unchanged logic.  Reports are bit-identical to
-    calling :func:`evaluate_clock_gating` per fraction.
+    gated variant are measured in one walk
+    (:func:`repro.optimization.search.evaluate_candidates`), in which
+    the cone cache splices the unchanged logic.  Reports are
+    bit-identical to calling :func:`evaluate_clock_gating` per
+    fraction.
     """
-    from repro.logic import incremental as inc
     from repro.optimization import search
 
     encoding = encoding or binary_encoding(stg)
@@ -184,7 +174,7 @@ def sweep_clock_gating(stg: STG, fractions: Sequence[float],
         [plain] + [gated for gated, _fa in variants],
         stimuli={"stimulus": packed},
         extras={"incremental": incremental},
-        workers=workers, engine=engine, label="clock_gating")
+        engine=engine, label="clock_gating")
     plain_power = reports[0].average_power()
 
     out: List[GatedClockReport] = []
@@ -195,12 +185,6 @@ def sweep_clock_gating(stg: STG, fractions: Sequence[float],
         # simulation.
         idle_cycles = gated_report.ones.get(fa_net, 0)
         idle_fraction = idle_cycles / max(1, cycles)
-
-        if cross_check:
-            full = collect_activity(gated, packed, engine=engine)
-            if not inc.reports_equal(gated_report, full):
-                raise AssertionError("incremental gated-clock report "
-                                     "diverged from full resimulation")
 
         # The glitch-filter latch L rides the free-running clock.
         gated_report.clock_capacitance += \

@@ -18,12 +18,12 @@ guard signal's settling time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.bdd import Bdd, BddManager
 from repro.logic.bdd_bridge import net_bdds
 from repro.logic.netlist import Circuit, Gate
-from repro.logic.simulate import Vector, collect_activity, evaluate
+from repro.logic.simulate import Vector, evaluate
 
 
 @dataclass
@@ -193,9 +193,7 @@ class GuardedEvalReport:
 def evaluate_guarded(circuit: Circuit, vectors: Sequence[Vector],
                      min_cone: int = 3, top_k: int = 1,
                      engine: Optional[str] = None,
-                     incremental: bool = True,
-                     cross_check: bool = False,
-                     workers: Union[int, str, None] = None
+                     incremental: bool = True
                      ) -> Optional[GuardedEvalReport]:
     """Apply the best guard candidate and measure the power effect.
 
@@ -205,24 +203,12 @@ def evaluate_guarded(circuit: Circuit, vectors: Sequence[Vector],
     resimulates only its own guarded cone plus fanout — the rest of
     the circuit (and the shared baseline) splices from the cone
     cache, which is what makes wide candidate sweeps affordable.
-    ``workers`` fans the candidate measurements out over the shared
-    search pool (:mod:`repro.optimization.search`); the winner — and
-    every report — is bit-identical to the serial walk.
-    ``cross_check`` reruns the winner on the full engine and asserts
-    exact equality.
     """
-    from repro.logic import incremental as inc
     from repro.optimization import search
 
     candidates = find_guard_candidates(circuit, min_cone=min_cone)
     if not candidates:
         return None
-
-    def _activity(c):
-        if incremental:
-            return inc.collect_activity_incremental(c, vectors,
-                                                    engine=engine)
-        return collect_activity(c, vectors, engine=engine)
 
     chosen = candidates[:max(1, top_k)]
     variants = [apply_guarded_evaluation(circuit, cand)
@@ -231,7 +217,7 @@ def evaluate_guarded(circuit: Circuit, vectors: Sequence[Vector],
         search.activity_job, [circuit] + variants,
         stimuli={"stimulus": vectors},
         extras={"incremental": incremental},
-        workers=workers, engine=engine, label="guarded_eval")
+        engine=engine, label="guarded_eval")
     p0 = reports[0].average_power()
     best = None
     guarded = None
@@ -257,10 +243,4 @@ def evaluate_guarded(circuit: Circuit, vectors: Sequence[Vector],
             equivalent = False
             break
 
-    if cross_check:
-        report = _activity(guarded)
-        full = collect_activity(guarded, vectors, engine=engine)
-        if not inc.reports_equal(report, full):
-            raise AssertionError("incremental guarded-eval report "
-                                 "diverged from full resimulation")
     return GuardedEvalReport(best, p0, p1, equivalent)

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.bdd import Bdd, BddManager
 from repro.logic.bdd_bridge import net_bdds
 from repro.logic.netlist import Circuit
-from repro.logic.simulate import Vector, collect_activity
+from repro.logic.simulate import Vector
 from repro.logic.synthesis import synthesize_cover
 from repro.twolevel.quine_mccluskey import minimize
 
@@ -221,9 +221,7 @@ def evaluate_precomputation(circuit: Circuit, output: str,
                             subset_size: int,
                             vectors: Sequence[Vector],
                             engine: Optional[str] = None,
-                            incremental: bool = True,
-                            cross_check: bool = False,
-                            workers: Union[int, str, None] = None
+                            incremental: bool = True
                             ) -> PrecomputationReport:
     """Measure power before/after precomputation on the same stimulus.
 
@@ -236,33 +234,27 @@ def evaluate_precomputation(circuit: Circuit, output: str,
     the cone cache: the registered baseline is identical across a
     ``subset_size`` sweep (the predictor subset only shapes the
     precomputed variant), so every sweep step after the first splices
-    it from cache, bit-identically.  ``workers`` fans the
-    measurements over the shared search pool.  ``cross_check`` reruns
-    the full engine and asserts exact equality.
+    it from cache, bit-identically.
     """
     return sweep_precomputation(circuit, output, [subset_size], vectors,
-                                engine=engine, incremental=incremental,
-                                cross_check=cross_check,
-                                workers=workers)[0]
+                                engine=engine,
+                                incremental=incremental)[0]
 
 
 def sweep_precomputation(circuit: Circuit, output: str,
                          subset_sizes: Sequence[int],
                          vectors: Sequence[Vector],
                          engine: Optional[str] = None,
-                         incremental: bool = True,
-                         cross_check: bool = False,
-                         workers: Union[int, str, None] = None
+                         incremental: bool = True
                          ) -> List[PrecomputationReport]:
     """One :class:`PrecomputationReport` per predictor subset size.
 
     The candidate loop of the pass: the registered baseline plus one
-    precomputed variant per subset size, measured in a single fan-out
-    over the shared search pool (:mod:`repro.optimization.search`).
-    Reports are bit-identical to calling
-    :func:`evaluate_precomputation` per size.
+    precomputed variant per subset size, measured in one walk
+    (:func:`repro.optimization.search.evaluate_candidates`).  Reports
+    are bit-identical to calling :func:`evaluate_precomputation` per
+    size.
     """
-    from repro.logic import incremental as inc
     from repro.optimization import search
 
     pairs = [best_subset(circuit, output, size)
@@ -274,14 +266,7 @@ def sweep_precomputation(circuit: Circuit, output: str,
         search.activity_job, [base] + variants,
         stimuli={"stimulus": vectors},
         extras={"incremental": incremental},
-        workers=workers, engine=engine, label="precompute")
-    if cross_check:
-        for c, report in zip([base] + variants, reports):
-            full = collect_activity(c, vectors, engine=engine)
-            if not inc.reports_equal(report, full):
-                raise AssertionError(
-                    "incremental precomputation report diverged from "
-                    "full resimulation")
+        engine=engine, label="precompute")
     base_power = reports[0].average_power()
     return [PrecomputationReport(predictors.coverage, base_power,
                                  report.average_power())

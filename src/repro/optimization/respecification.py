@@ -20,12 +20,12 @@ measures the power effect on the full netlist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd import Bdd, BddManager
 from repro.logic.bdd_bridge import net_bdds
 from repro.logic.netlist import Circuit, Gate
-from repro.logic.simulate import Vector, collect_activity, evaluate
+from repro.logic.simulate import Vector, evaluate
 
 
 def control_inputs(circuit: Circuit) -> List[str]:
@@ -133,9 +133,7 @@ def respecify_controls(circuit: Circuit, vectors: Sequence[Vector],
 def evaluate_respecification(circuit: Circuit,
                              vectors: Sequence[Vector],
                              engine: Optional[str] = None,
-                             incremental: bool = True,
-                             cross_check: bool = False,
-                             workers: Union[int, str, None] = None
+                             incremental: bool = True
                              ) -> RespecificationReport:
     """Respecify the control trace and measure the power effect.
 
@@ -144,13 +142,8 @@ def evaluate_respecification(circuit: Circuit,
     keys hash each cone's support-input lanes, so cones fed only by
     data inputs (whose lanes the respecification leaves untouched)
     splice from the first run and only the control-fed cones
-    resimulate.  ``workers`` fans the two trace measurements over the
-    shared search pool (the cone sharing then flows through the
-    sweep's disk store instead of process memory).  ``cross_check``
-    reruns the full engine on the respecified trace and asserts exact
-    equality.
+    resimulate.
     """
-    from repro.logic import incremental as inc
     from repro.optimization import search
 
     new_vectors, controls, changed = respecify_controls(circuit, vectors)
@@ -168,13 +161,8 @@ def evaluate_respecification(circuit: Circuit,
         [(circuit, "orig"), (circuit, "respec")],
         stimuli={"orig": list(vectors), "respec": new_vectors},
         extras={"incremental": incremental},
-        workers=workers, engine=engine, label="respecification")
+        engine=engine, label="respecification")
     p0 = report0.average_power()
-    if cross_check:
-        full = collect_activity(circuit, new_vectors, engine=engine)
-        if not inc.reports_equal(report1, full):
-            raise AssertionError("incremental respecification report "
-                                 "diverged from full resimulation")
     p1 = report1.average_power()
     return RespecificationReport(
         controls=controls,

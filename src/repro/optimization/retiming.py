@@ -18,7 +18,7 @@ Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -357,8 +357,7 @@ def _probe_level_job(threshold: int, ctx) -> float:
 def choose_low_power_level(circuit: Circuit, vectors: Sequence[Vector],
                            candidates: int = 3,
                            probe_vectors: int = 60,
-                           engine: Optional[str] = None,
-                           workers: Union[int, str, None] = None) -> int:
+                           engine: Optional[str] = None) -> int:
     """Boundary level chosen by the Monteiro rule, confirmed by timing
     simulation.
 
@@ -366,9 +365,7 @@ def choose_low_power_level(circuit: Circuit, vectors: Sequence[Vector],
     high glitching and high downstream load should receive registers
     on their outputs); the top candidates — always including the
     mid-depth baseline — are then measured with a short event-driven
-    probe and the lowest-power one wins.  ``workers`` fans the probe
-    measurements over the shared search pool; the chosen level is
-    bit-identical to the serial walk.
+    probe and the lowest-power one wins.
     """
     vectors = _packed_stimulus(circuit, vectors)
     scores = glitch_scores(circuit, vectors)
@@ -392,7 +389,7 @@ def choose_low_power_level(circuit: Circuit, vectors: Sequence[Vector],
         _probe_level_job, shortlist,
         stimuli={"probe": probe},
         extras={"circuit": circuit},
-        workers=workers, engine=engine, label="retiming")
+        engine=engine, label="retiming")
     best_level = max(1, depth // 2)
     best_power = float("inf")
     for threshold, power in zip(shortlist, powers):
@@ -420,8 +417,7 @@ class RetimingPowerReport:
 
 
 def evaluate_power_retiming(circuit: Circuit, vectors: Sequence[Vector],
-                            engine: Optional[str] = None,
-                            workers: Union[int, str, None] = None
+                            engine: Optional[str] = None
                             ) -> RetimingPowerReport:
     """Compare register placements: glitch-aware vs mid-depth cuts.
 
@@ -442,8 +438,7 @@ def evaluate_power_retiming(circuit: Circuit, vectors: Sequence[Vector],
     plain_power = timed_activity_cached(plain, vectors,
                                         engine=engine).average_power()
 
-    smart_level = choose_low_power_level(circuit, vectors, engine=engine,
-                                         workers=workers)
+    smart_level = choose_low_power_level(circuit, vectors, engine=engine)
     smart, smart_regs = pipeline_at_level(circuit, smart_level,
                                           name="smart_cut")
     smart_power = timed_activity_cached(smart, vectors,

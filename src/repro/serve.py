@@ -138,10 +138,8 @@ def _run_search(job: Dict[str, Any], cycles: int, seed,
     Two allowlisted kinds: ``bus-survey`` fans every implemented bus
     code over one address stream (:func:`survey_codes`), ``guarded``
     measures the top-k guard candidates of a circuit
-    (:func:`evaluate_guarded`).  In a serve worker the candidate walk
-    is serial: serve workers are search-pool workers (built by
-    :func:`search.start_pool`), so a job never nests a pool inside the
-    serve pool, whose workers already run a batch's jobs in parallel.
+    (:func:`evaluate_guarded`).  Both candidate walks are serial; the
+    serve pool's workers already run a batch's jobs in parallel.
     """
     from repro.logic import fastsim
     from repro.optimization import bus_encoding

@@ -193,6 +193,34 @@ class TestBenchOrchestrator:
         assert set(report["benches"]) == set(runner.SMOKE_BENCHES)
         assert report["config"]["smoke"] is True
 
+    def test_solo_benches_run_after_the_others(self, tmp_path):
+        bench_dir = tmp_path / "benchmarks"
+        bench_dir.mkdir()
+        log = tmp_path / "log.txt"
+        body = textwrap.dedent(f"""
+            import time
+
+            def test_log():
+                with open({str(log)!r}, "a") as fh:
+                    fh.write(f"{{__name__}} start {{time.time()}}\\n")
+                time.sleep(0.3)
+                with open({str(log)!r}, "a") as fh:
+                    fh.write(f"{{__name__}} end {{time.time()}}\\n")
+        """)
+        names = ["bench_a.py", "bench_b.py", "bench_c.py"]
+        for name in names + list(runner.SOLO_BENCHES):
+            (bench_dir / name).write_text(body)
+        results = runner.run_sweep(runner.discover_benches(bench_dir),
+                                   jobs=2, timeout=60, trace=False)
+        assert all(e["status"] == "ok" for e in results.values())
+        stamps = {}
+        for line in log.read_text().splitlines():
+            name, kind, when = line.split()
+            stamps[(name, kind)] = float(when)
+        solo_start = min(stamps[(n[:-3], "start")]
+                         for n in runner.SOLO_BENCHES)
+        assert all(stamps[(n[:-3], "end")] <= solo_start for n in names)
+
     def test_no_benches_matched(self, tmp_path, capsys):
         bench_dir = tmp_path / "benchmarks"
         bench_dir.mkdir()

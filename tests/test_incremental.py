@@ -634,7 +634,7 @@ class TestPasses:
         stg = benchmark("waiter")
         a = evaluate_clock_gating(stg, cycles=150, seed=4,
                                   bit_probs=[0.05, 0.5],
-                                  incremental=True, cross_check=True)
+                                  incremental=True)
         b = evaluate_clock_gating(stg, cycles=150, seed=4,
                                   bit_probs=[0.05, 0.5],
                                   incremental=False)
@@ -649,7 +649,7 @@ class TestPasses:
         circuit = magnitude_comparator(4)
         vectors = random_vectors(circuit.inputs, 120, seed=2)
         a = evaluate_precomputation(circuit, "gt", 2, vectors,
-                                    incremental=True, cross_check=True)
+                                    incremental=True)
         b = evaluate_precomputation(circuit, "gt", 2, vectors,
                                     incremental=False)
         assert (a.coverage, a.original_power, a.precomputed_power) \
@@ -667,7 +667,7 @@ class TestPasses:
         c.add_output("out")
         vectors = random_vectors(c.inputs, 100, seed=3)
         a = evaluate_guarded(c, vectors, min_cone=2, top_k=2,
-                             incremental=True, cross_check=True)
+                             incremental=True)
         b = evaluate_guarded(c, vectors, min_cone=2, top_k=2,
                              incremental=False)
         assert a is not None and b is not None
@@ -685,8 +685,7 @@ class TestPasses:
         c.add_gate("MUX2", [m0, m1, "s1"], output="y")
         c.add_output("y")
         vectors = random_vectors(c.inputs, 90, seed=5)
-        a = evaluate_respecification(c, vectors, incremental=True,
-                                     cross_check=True)
+        a = evaluate_respecification(c, vectors, incremental=True)
         b = evaluate_respecification(c, vectors, incremental=False)
         assert (a.changed_cycles, a.original_power,
                 a.respecified_power, a.equivalent) \

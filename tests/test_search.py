@@ -1,15 +1,17 @@
-"""Parallel candidate-search executor (repro.optimization.search).
+"""Candidate-search executor (repro.optimization.search).
 
-The load-bearing property mirrors PR 9's: *bit-identity*.  Every
-rewired candidate loop must return identical reports — and pick the
-identical winning candidate — for ``workers=1``, ``workers>=2``, and
-the serial fallback, including a worker dying mid-sweep (its jobs are
-re-run in-process, never silently dropped).  The remaining tests pin
-the executor contract (ordered merge, deterministic spawn-key seeds,
-env knob, context transports) and the consolidation of the repo's
-seed-derivation schemes into :mod:`repro.util.seeding`.
+The load-bearing property is *bit-identity*.  The pooled loop
+(annealing restarts) must pick the identical winner for
+``workers=1``, ``workers>=2``, and the serial fallback, including a
+worker dying mid-sweep (its jobs are re-run in-process, never
+silently dropped); each circuit-activity loop, which runs serially,
+must agree with its oracle route.  The remaining tests pin the
+executor contract (ordered merge, deterministic spawn-key seeds, no
+nested pools) and the consolidation of the repo's seed-derivation
+schemes into :mod:`repro.util.seeding`.
 """
 
+import inspect
 import os
 import signal
 
@@ -33,11 +35,6 @@ from repro.optimization.bus_encoding import (
     survey_codes,
 )
 from repro.util import seeding
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv(search.ENV_WORKERS, raising=False)
 
 
 def teardown_module(module):
@@ -151,19 +148,6 @@ class TestResolveWorkers:
         assert search.resolve_workers("auto") \
             == max(1, os.cpu_count() or 1)
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv(search.ENV_WORKERS, "2")
-        assert search.resolve_workers(None) == 2
-        monkeypatch.setenv(search.ENV_WORKERS, "auto")
-        assert search.resolve_workers(None) \
-            == max(1, os.cpu_count() or 1)
-        monkeypatch.setenv(search.ENV_WORKERS, "garbage")
-        assert search.resolve_workers(None) == 1
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(search.ENV_WORKERS, "8")
-        assert search.resolve_workers(2) == 2
-
 
 # ----------------------------------------------------------------------
 # Executor contract
@@ -185,13 +169,6 @@ class TestExecutor:
             _echo_job, list(range(4)), seed=7, workers=1)
         assert all(pid == os.getpid() for _c, _s, pid, _w in results)
         assert all(not flag for _c, _s, _p, flag in results)
-
-    def test_env_knob_reaches_the_pool(self, monkeypatch):
-        monkeypatch.setenv(search.ENV_WORKERS, "2")
-        results = search.evaluate_candidates(
-            _echo_job, list(range(6)), workers=None)
-        assert [r[0] for r in results] == list(range(6))
-        assert any(pid != os.getpid() for _c, _s, pid, _w in results)
 
     def test_pool_failure_degrades_to_serial(self, monkeypatch):
         _no_pool(monkeypatch)
@@ -228,33 +205,9 @@ class TestExecutor:
         assert result[0] == "x" and result[2] == os.getpid()
 
 
-class TestContextShipping:
-    def test_small_context_inlines(self):
-        search._SHIPPED.clear()
-        ref = search._ship_context({"k": "tiny"}, {})
-        assert ref["kind"] == "inline"
-
-    def test_large_context_dedups_by_fingerprint(self):
-        search._SHIPPED.clear()
-        payload = {"blob": list(range(30000))}
-        ref1 = search._ship_context(payload, {})
-        ref2 = search._ship_context({"blob": list(range(30000))}, {})
-        assert ref1 is ref2
-        assert ref1["kind"] == "file"
-
-    def test_large_context_spools_to_file(self):
-        search._SHIPPED.clear()
-        ref = search._ship_context({"blob": list(range(30000))}, {})
-        assert ref["kind"] == "file"
-        with open(ref["path"], "rb") as fh:
-            assert len(fh.read()) > search._INLINE_LIMIT
-        # workers can materialize it
-        payload = search._materialize(dict(ref))
-        assert payload["stimuli"]["blob"][:3] == [0, 1, 2]
-
-
 # ----------------------------------------------------------------------
-# Pass equivalence: workers=1 == workers>=2 == serial fallback
+# Pass equivalence: the pooled loop for any worker count, and every
+# serial activity loop against its oracle route
 # ----------------------------------------------------------------------
 
 def _mux_circuit():
@@ -281,61 +234,57 @@ def _chain_circuit(depth=5):
 
 
 class TestPassEquivalence:
-    @settings(max_examples=3, deadline=None,
-              suppress_health_check=_FIXTURE_OK)
+    @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**20))
-    def test_guarded_eval(self, monkeypatch, seed):
+    def test_guarded_eval(self, seed):
         from repro.optimization.guarded_eval import evaluate_guarded
 
         c = _mux_circuit()
         vectors = random_vectors(c.inputs, 80, seed=seed)
-        serial = evaluate_guarded(c, vectors, min_cone=2, top_k=2,
-                                  workers=1)
-        parallel = evaluate_guarded(c, vectors, min_cone=2, top_k=2,
-                                    workers=2)
-        _no_pool(monkeypatch)
-        fallback = evaluate_guarded(c, vectors, min_cone=2, top_k=2,
-                                    workers=2)
-        assert serial == parallel == fallback
+        walked = evaluate_guarded(c, vectors, min_cone=2, top_k=2)
+        full = evaluate_guarded(c, vectors, min_cone=2, top_k=2,
+                                incremental=False)
+        assert walked == full
 
-    @settings(max_examples=3, deadline=None,
-              suppress_health_check=_FIXTURE_OK)
+    @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**20))
-    def test_clock_gating_sweep(self, monkeypatch, seed):
-        from repro.optimization.clock_gating import sweep_clock_gating
+    def test_clock_gating_sweep(self, seed):
+        from repro.optimization.clock_gating import (
+            evaluate_clock_gating,
+            sweep_clock_gating,
+        )
 
         stg = fsm_benchmark("waiter")
-        serial = sweep_clock_gating(stg, [1.0, 0.5], cycles=120,
-                                    seed=seed, workers=1)
-        parallel = sweep_clock_gating(stg, [1.0, 0.5], cycles=120,
-                                      seed=seed, workers=2)
-        _no_pool(monkeypatch)
-        fallback = sweep_clock_gating(stg, [1.0, 0.5], cycles=120,
-                                      seed=seed, workers=2)
-        assert serial == parallel == fallback
+        swept = sweep_clock_gating(stg, [1.0, 0.5], cycles=120,
+                                   seed=seed)
+        full = sweep_clock_gating(stg, [1.0, 0.5], cycles=120,
+                                  seed=seed, incremental=False)
+        each = [evaluate_clock_gating(stg, cycles=120, seed=seed,
+                                      simplify_fraction=f)
+                for f in (1.0, 0.5)]
+        assert swept == full == each
 
-    @settings(max_examples=2, deadline=None,
-              suppress_health_check=_FIXTURE_OK)
+    @settings(max_examples=2, deadline=None)
     @given(seed=st.integers(0, 2**20))
-    def test_precompute_sweep(self, monkeypatch, seed):
+    def test_precompute_sweep(self, seed):
         from repro.logic.generators import magnitude_comparator
-        from repro.optimization.precompute import sweep_precomputation
+        from repro.optimization.precompute import (
+            evaluate_precomputation,
+            sweep_precomputation,
+        )
 
         circuit = magnitude_comparator(3)
         vectors = random_vectors(circuit.inputs, 80, seed=seed)
-        serial = sweep_precomputation(circuit, "gt", [1, 2], vectors,
-                                      workers=1)
-        parallel = sweep_precomputation(circuit, "gt", [1, 2], vectors,
-                                        workers=2)
-        _no_pool(monkeypatch)
-        fallback = sweep_precomputation(circuit, "gt", [1, 2], vectors,
-                                        workers=2)
-        assert serial == parallel == fallback
+        swept = sweep_precomputation(circuit, "gt", [1, 2], vectors)
+        full = sweep_precomputation(circuit, "gt", [1, 2], vectors,
+                                    incremental=False)
+        each = [evaluate_precomputation(circuit, "gt", size, vectors)
+                for size in (1, 2)]
+        assert swept == full == each
 
-    @settings(max_examples=3, deadline=None,
-              suppress_health_check=_FIXTURE_OK)
+    @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**20))
-    def test_respecification(self, monkeypatch, seed):
+    def test_respecification(self, seed):
         from repro.optimization.respecification import \
             evaluate_respecification
 
@@ -346,25 +295,19 @@ class TestPassEquivalence:
         c.add_gate("MUX2", [m0, m1, "s1"], output="y")
         c.add_output("y")
         vectors = random_vectors(c.inputs, 100, seed=seed)
-        serial = evaluate_respecification(c, vectors, workers=1)
-        parallel = evaluate_respecification(c, vectors, workers=2)
-        _no_pool(monkeypatch)
-        fallback = evaluate_respecification(c, vectors, workers=2)
-        assert serial == parallel == fallback
+        assert evaluate_respecification(c, vectors) \
+            == evaluate_respecification(c, vectors, incremental=False)
 
-    @settings(max_examples=3, deadline=None,
-              suppress_health_check=_FIXTURE_OK)
+    @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**20))
-    def test_retiming_level_choice(self, monkeypatch, seed):
+    def test_retiming_level_choice(self, seed):
         from repro.optimization.retiming import choose_low_power_level
 
         circuit = _chain_circuit()
         vectors = random_vectors(circuit.inputs, 100, seed=seed)
-        serial = choose_low_power_level(circuit, vectors, workers=1)
-        parallel = choose_low_power_level(circuit, vectors, workers=2)
-        _no_pool(monkeypatch)
-        fallback = choose_low_power_level(circuit, vectors, workers=2)
-        assert serial == parallel == fallback
+        assert choose_low_power_level(circuit, vectors) \
+            == choose_low_power_level(circuit, vectors,
+                                      engine="reference")
 
     @settings(max_examples=3, deadline=None,
               suppress_health_check=_FIXTURE_OK)
@@ -390,27 +333,79 @@ class TestPassEquivalence:
         assert legacy.codes == fanout.codes
         assert fanout.strategy == "low-power-annealed"
 
-    @settings(max_examples=3, deadline=None,
-              suppress_health_check=_FIXTURE_OK)
+    @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**20))
-    def test_bus_survey(self, monkeypatch, seed):
+    def test_bus_survey(self, seed):
         stream = random_addresses(8, 150, seed=seed)
-        serial = survey_codes(stream, workers=1)
-        parallel = survey_codes(stream, workers=2)
         reference = [count_transitions(code, stream)
                      for code in default_survey_codes(8, stream)]
-        _no_pool(monkeypatch)
-        fallback = survey_codes(stream, workers=2)
-        assert serial == parallel == fallback == reference
+        assert survey_codes(stream) \
+            == survey_codes(stream, engine="reference") == reference
 
     def test_worker_death_mid_pass_still_bit_identical(self):
         # Kill the pool in the middle of a real sweep: the affected
-        # candidates re-run in-process and the reports stay identical.
-        stream = random_addresses(8, 150, seed=9)
-        expected = survey_codes(stream, workers=1)
+        # restarts re-run in-process and the winner stays identical.
+        stg = fsm_benchmark("traffic")
+        expected = low_power_encoding(stg, seed=9, anneal_steps=300,
+                                      restarts=4, workers=1)
         search.evaluate_candidates(_crash_job, [0, 1], workers=2)
-        got = survey_codes(stream, workers=2)
-        assert got == expected
+        got = low_power_encoding(stg, seed=9, anneal_steps=300,
+                                 restarts=4, workers=2)
+        assert got.codes == expected.codes
+
+
+# ----------------------------------------------------------------------
+# The circuit-activity loops run serial
+# ----------------------------------------------------------------------
+class TestSerialActivityLoops:
+    def test_entry_points_take_no_pool_or_cross_check_knobs(self):
+        from repro.optimization import (
+            bus_encoding,
+            clock_gating,
+            guarded_eval,
+            precompute,
+            respecification,
+            retiming,
+        )
+
+        no_workers = [
+            guarded_eval.evaluate_guarded,
+            clock_gating.evaluate_clock_gating,
+            clock_gating.sweep_clock_gating,
+            precompute.evaluate_precomputation,
+            precompute.sweep_precomputation,
+            respecification.evaluate_respecification,
+            retiming.choose_low_power_level,
+            retiming.evaluate_power_retiming,
+            bus_encoding.survey_codes,
+        ]
+        no_cross_check = [
+            guarded_eval.evaluate_guarded,
+            clock_gating.evaluate_clock_gating,
+            clock_gating.sweep_clock_gating,
+            precompute.evaluate_precomputation,
+            precompute.sweep_precomputation,
+            respecification.evaluate_respecification,
+        ]
+        for fn in no_workers:
+            assert "workers" not in inspect.signature(fn).parameters, fn
+        for fn in no_cross_check:
+            assert "cross_check" not in \
+                inspect.signature(fn).parameters, fn
+        # The benchmark's output checks still pass these two.
+        for fn in no_cross_check:
+            assert "incremental" in inspect.signature(fn).parameters
+            assert "engine" in inspect.signature(fn).parameters
+
+    def test_environment_never_starts_a_pool(self, monkeypatch):
+        # The retired REPRO_SEARCH_WORKERS variable has no effect:
+        # workers=None is serial whatever the environment says.
+        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "2")
+        assert search.resolve_workers(None) == 1
+        results = search.evaluate_candidates(
+            _echo_job, list(range(6)), workers=None)
+        assert [r[0] for r in results] == list(range(6))
+        assert all(pid == os.getpid() for _c, _s, pid, _w in results)
 
 
 class TestOnePool:
@@ -474,14 +469,13 @@ class TestServeSearch:
     def test_live_server_search_job_never_nests_pools(self, monkeypatch,
                                                       tmp_path):
         # Serve workers count as search-pool workers, so a served
-        # search job walks its candidates serially even when the
-        # environment asks for a pool; a pool nested inside a serve
-        # worker would block the server's stop() forever.
+        # search job walks its candidates serially; a pool nested
+        # inside a serve worker would block the server's stop()
+        # forever.
         import threading
         from repro import serve
         from repro import store as artifact_store
 
-        monkeypatch.setenv(search.ENV_WORKERS, "2")
         # The server's workers share tmp_path as their store; reset
         # this process's store singleton too: monkeypatch restores the
         # variable, the finally the store.

@@ -139,6 +139,111 @@ class TestFingerprint:
             fastsim.collect_activity(b, vectors).toggles
 
 
+    def test_builtin_only_fingerprints_pinned(self):
+        # Disk stores and recorded digests key on these: hashing cell
+        # functions must not move a circuit built from the shipped
+        # library.
+        c = counter(6)
+        assert c.fingerprint() == ("26848242b731b6483ef41b59d5aaf89f"
+                                   "16c472ad8a3168384e254fa16af2fd4c")
+        assert c.cone_fingerprints()["q0"] == (
+            "1b1482b090a798ae62aab6309b9c9c72"
+            "7b26e7523212f701dca7d9b2bff575ba")
+
+
+# ----------------------------------------------------------------------
+# Cells registered again at run time
+# ----------------------------------------------------------------------
+def _and(v):
+    return int(v[0] and v[1])
+
+
+def _or(v):
+    return int(v[0] or v[1])
+
+
+def _one_cell(gate_type):
+    c = Circuit("cell")
+    a, b = c.add_inputs(["a", "b"])
+    y = c.add_gate(gate_type, [a, b], output="y")
+    c.add_output(c.add_gate("XOR2", [y, a], output="z"))
+    c.add_output(y)
+    return c
+
+
+class TestCellFunctions:
+    def _check_engines(self, circuit, vectors):
+        from repro.logic import incremental as inc
+        from repro.logic.simulate import collect_activity
+
+        ref = collect_activity(circuit, vectors, engine="reference")
+        assert inc.reports_equal(collect_activity(circuit, vectors), ref)
+        delta, _stats = inc.delta_activity(circuit, vectors)
+        assert inc.reports_equal(delta, ref)
+        lanes = vectors.to_vectors()
+        timed = eventsim.EventSimulator(circuit, engine="fast").run(lanes)
+        timed_ref = eventsim.EventSimulator(
+            circuit, engine="reference").run(lanes)
+        assert (timed.toggles, timed.ones, timed.events,
+                timed.glitches) == (timed_ref.toggles, timed_ref.ones,
+                                    timed_ref.events, timed_ref.glitches)
+        return ref
+
+    def test_reregistered_cell_changes_keys_and_results(self, mem_store):
+        from repro.logic import gates as gatelib
+
+        try:
+            gatelib.LIBRARY["CELL_T"] = gatelib.GateSpec(
+                "CELL_T", 2, _and, 1.2, 0.7, 2.0, 1.2)
+            first = _one_cell("CELL_T")
+            vectors = fastsim.random_packed_vectors(first.inputs, 256,
+                                                    seed=1)
+            ones_and = self._check_engines(first, vectors).ones["y"]
+            fp, cones = first.fingerprint(), first.cone_fingerprints()
+
+            gatelib.LIBRARY["CELL_T"] = gatelib.GateSpec(
+                "CELL_T", 2, _or, 1.2, 0.7, 2.0, 1.2)
+            second = _one_cell("CELL_T")
+            ones_or = self._check_engines(second, vectors).ones["y"]
+            assert ones_or != ones_and
+            assert second.fingerprint() != fp
+            assert second.cone_fingerprints()["y"] != cones["y"]
+            # A clone carries its parent's cone structure; one hashed
+            # before the registration is rebuilt, not derived from.
+            clone = first.clone()
+            assert clone.cone_fingerprints() \
+                == second.cone_fingerprints()
+            self._check_engines(clone, vectors)
+        finally:
+            gatelib.LIBRARY.pop("CELL_T", None)
+
+    def test_reregistered_builtin_name_changes_fingerprint(self,
+                                                           mem_store):
+        from repro.logic import gates as gatelib
+
+        shipped = gatelib.LIBRARY["AND2"]
+        fp = _one_cell("AND2").fingerprint()
+        try:
+            # The shipped function under a new entry: same keys.
+            gatelib.LIBRARY["AND2"] = gatelib.GateSpec(
+                "AND2", 2, _and, shipped.input_cap, shipped.output_cap,
+                shipped.delay, shipped.area)
+            assert _one_cell("AND2").fingerprint() == fp
+            # Another function under the shipped name: new keys, and
+            # no engine runs the shipped kernel for it.
+            gatelib.LIBRARY["AND2"] = gatelib.GateSpec(
+                "AND2", 2, _or, shipped.input_cap, shipped.output_cap,
+                shipped.delay, shipped.area)
+            circuit = _one_cell("AND2")
+            assert circuit.fingerprint() != fp
+            vectors = fastsim.random_packed_vectors(circuit.inputs, 256,
+                                                    seed=2)
+            self._check_engines(circuit, vectors)
+        finally:
+            gatelib.LIBRARY["AND2"] = shipped
+        assert _one_cell("AND2").fingerprint() == fp
+
+
 # ----------------------------------------------------------------------
 # ArtifactStore mechanics
 # ----------------------------------------------------------------------
