@@ -15,11 +15,31 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.bdd import Bdd, BddManager
+from repro.logic import gates as gatelib
 from repro.logic.netlist import Circuit
+
+
+def _truth_table_bdd(mgr: BddManager, spec: gatelib.GateSpec,
+                     operands: Sequence[Bdd]) -> Bdd:
+    """The cell's function from its truth table: row ``r`` (input
+    ``i`` is bit ``i`` of ``r``) folded one input at a time."""
+    table = gatelib.truth_table(spec)
+    rows = [mgr.true if (table >> r) & 1 else mgr.false
+            for r in range(1 << spec.n_inputs)]
+    for op in operands:
+        rows = [op.ite(rows[j + 1], rows[j])
+                for j in range(0, len(rows), 2)]
+    return rows[0]
 
 
 def _apply_gate(mgr: BddManager, gate_type: str,
                 operands: Sequence[Bdd]) -> Bdd:
+    """BDD of one gate: the shipped cells by name, any other library
+    entry (a cell registered again under a shipped name included)
+    from its truth table."""
+    spec = gatelib.LIBRARY.get(gate_type)
+    if spec is not None and spec is not gatelib.BUILTIN.get(gate_type):
+        return _truth_table_bdd(mgr, spec, operands)
     if gate_type == "CONST0":
         return mgr.false
     if gate_type == "CONST1":

@@ -1,4 +1,4 @@
-"""Bit-parallel compiled zero-delay simulation (the fast engine).
+"""Bit-parallel zero-delay simulation (the fast engine).
 
 Every estimator in the framework bottoms out in zero-delay gate
 evaluation; the scalar reference in :mod:`repro.logic.simulate` walks
@@ -7,20 +7,28 @@ module evaluates whole batches at once, in the spirit of the
 hardware-accelerated estimators surveyed alongside the paper
 (concurrent-cycle evaluation a la Coburn et al.):
 
-- :func:`compile_circuit` lowers the cached topological gate order
-  into a flat plan: integer-indexed net slots plus a generated,
-  ``exec``-compiled straight-line Python function in which each gate
-  is one bitwise operation on arbitrary-precision integers
-  (AND/OR/NAND/NOR/XOR/XNOR/NOT/MUX...; anything else falls back to a
-  synthesized truth-table expression),
 - net values are *words*: bit ``i`` holds the net's value in vector
-  (or cycle) ``i``, so a single pass over the plan evaluates the whole
+  (or cycle) ``i``, so one pass over the plan evaluates the whole
   batch and ``int.bit_count()`` on ``cur ^ prev`` counts toggles,
+- :func:`compile_circuit` lowers the netlist to a *plan table*, plain
+  data: integer net slots, and the gates grouped by logic level and
+  cell type, each group one flat ``in_0, ..., in_{k-1}, out`` row
+  list.  One fixed interpreter walks the table, calling one group
+  evaluator per cell type (:func:`group_evaluator`; each gate is one
+  bitwise operation on arbitrary-precision integers, anything without
+  a hand-written kernel a synthesized truth-table expression).  The
+  evaluators are generated once per process and shared with
+  :mod:`repro.logic.fasttimer`, so a never-seen design costs a table
+  build, and the table is also the store payload,
 - combinational circuits evaluate all N vectors in one pass (lanes);
-  sequential circuits pack lanes along *time* and run in adaptive
-  chunks, iterating the latch-update masks to a fixed point (a
-  feed-forward pipeline converges in its register depth; feedback
-  loops degrade gracefully to about one pass per cycle),
+  sequential circuits pack lanes along *time*, and their latches are
+  settled over the whole batch by the latch graph's strongly connected
+  components (:func:`_settled`): a latch in no loop is a delay, a
+  single-latch loop an affine recurrence over GF(2) solved by a
+  doubling scan, and a small multi-latch loop (an FSM state register)
+  a walk of its next-state table.  Loops too wide to walk fall back to
+  adaptive time chunks that iterate the latch-update masks to a fixed
+  point (about one pass per cycle on tight feedback),
 - :func:`collect_activity` reproduces the scalar engine's
   :class:`~repro.logic.simulate.ActivityReport` *bit-identically* —
   toggles, ones, switched and clock capacitance — which is what lets
@@ -39,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
     Tuple, Union
 
@@ -47,7 +56,7 @@ from repro import store as artifact_store
 from repro.backend.core import resolve_engine
 from repro.logic import gates as gatelib
 from repro.logic.gates import GateSpec
-from repro.logic.netlist import Circuit
+from repro.logic.netlist import Circuit, _specs_current, _tarjan_sccs
 from repro.logic.simulate import ActivityReport, Vector
 
 
@@ -192,7 +201,7 @@ def pack_streams(input_ports: Sequence[Tuple[str, int]],
 
 
 # ----------------------------------------------------------------------
-# Compilation
+# Cell expressions and group evaluators
 # ----------------------------------------------------------------------
 def _truth_table_expression(spec: GateSpec, ins: List[str]) -> str:
     """Sum-of-minterms lowering for gate types without a kernel."""
@@ -260,6 +269,61 @@ def _expression(spec: GateSpec, ins: List[str]) -> str:
     return _truth_table_expression(spec, ins)
 
 
+#: Group evaluators, keyed by their generated source text rather than
+#: by cell name, so a cell name registered again with another function
+#: never runs the stale expression.
+_EVALUATORS: Dict[str, Callable] = {}
+
+#: cell type -> (the library entry it was looked up for, arity, fn):
+#: a bind skips regenerating the source while the entry is current.
+_BOUND: Dict[str, Tuple[GateSpec, int, Callable]] = {}
+
+
+def group_evaluator(gate_type: str) -> Tuple[int, Callable]:
+    """``(arity, fn)`` for ``gate_type``'s group evaluator.
+
+    ``fn(R, W, rows, M)`` evaluates the cell on packed words for every
+    gate of the flat row list ``rows`` (``in_0, ..., in_{k-1}, out``
+    repeated per gate): it reads ``R[in_j]`` and writes ``W[out]``.
+    The zero-delay plan passes one slot list as both; the timed
+    engine reads current values and writes pending ones.  Raises
+    ``KeyError`` for an unknown cell and :class:`CompileError` when
+    the cell cannot be lowered.
+    """
+    spec = gatelib.gate_spec(gate_type)
+    hit = _BOUND.get(gate_type)
+    if hit is not None and hit[0] is spec:
+        return hit[1], hit[2]
+    names = [f"i{j}" for j in range(spec.n_inputs)] + ["o"]
+    expr = _expression(spec, [f"R[{n}]" for n in names[:-1]])
+    if spec.n_inputs:
+        loop = (f"    it = iter(rows)\n"
+                f"    for {', '.join(names)} in "
+                f"zip({', '.join(['it'] * len(names))}):\n")
+    else:
+        loop = "    for o in rows:\n"
+    source = f"def _group(R, W, rows, M):\n{loop}        W[o] = {expr}\n"
+    fn = _EVALUATORS.get(source)
+    if fn is None:
+        namespace: Dict[str, object] = {}
+        exec(compile(source, f"<group:{gate_type}>", "exec"), namespace)
+        fn = _EVALUATORS[source] = namespace["_group"]  # type: ignore
+    _BOUND[gate_type] = (spec, spec.n_inputs, fn)
+    return spec.n_inputs, fn
+
+
+def check_indices(values: List[int], limit: int) -> None:
+    """Raise ``ValueError`` unless every value is an ``int`` in
+    ``[0, limit)`` (plan-table validation, shared with the timed
+    engine)."""
+    if values and (set(map(type, values)) != {int}
+                   or not 0 <= min(values) <= max(values) < limit):
+        raise ValueError(f"plan index outside [0, {limit})")
+
+
+# ----------------------------------------------------------------------
+# Plans
+# ----------------------------------------------------------------------
 @dataclass
 class _LatchPlan:
     data_slot: int
@@ -271,12 +335,13 @@ class _LatchPlan:
 
 @dataclass
 class CompiledCircuit:
-    """Flat bit-parallel evaluation plan for one circuit.
+    """Bit-parallel evaluation plan for one circuit.
 
     ``evaluate(V, M)`` fills the gate-output slots of slot-value list
-    ``V`` (packed words) in topological order, where ``M`` is the
+    ``V`` (packed words) in level order, where ``M`` is the
     all-lanes-set mask.  Plans are cached on the circuit and
-    invalidated by structural mutation.
+    invalidated by structural mutation, or when a cell they bound is
+    registered again (``specs``).
     """
 
     circuit: Circuit
@@ -288,6 +353,10 @@ class CompiledCircuit:
     latches: List[_LatchPlan]
     caps: List[float]                   # load capacitance per slot
     evaluate: Callable[[List[int], int], None]
+    table: list                         # [[cell type, rows], ...]
+    fns: List[Callable]                 # each group's evaluator
+    specs: Dict[str, Optional[GateSpec]]   # library entries bound
+    settle: Optional["_Settle"] = None  # latch graph, built on demand
 
     @property
     def n_slots(self) -> int:
@@ -298,18 +367,65 @@ class CompiledCircuit:
 STORE_KIND = "fastsim"
 
 
-def _bind_plan(circuit: Circuit, version: int, nets: List[str],
-               caps: List[float],
-               evaluate: Callable[[List[int], int], None]
-               ) -> CompiledCircuit:
-    """Bind a generated kernel + slot layout to ``circuit``.
+def _evaluate(fns: List[Callable], table: list, V: List[int],
+              M: int) -> None:
+    """The zero-delay interpreter: walk the bound table once.  The
+    table is the store payload's, unwrapped: binding adds only the
+    evaluator list, so a plan holds no per-group objects of its own."""
+    for fn, group in zip(fns, table):
+        fn(V, V, group[1], M)
 
+
+def _plan_table(circuit: Circuit, slot: Dict[str, int]) -> list:
+    """Lower the topological order to ``[[cell type, rows], ...]``.
+
+    Gates are grouped by logic level (roots are level 0, a gate one
+    above its deepest input) and, within a level, by cell type in
+    first-seen order; ``rows`` is the flat ``in..., out`` list of the
+    group's gates.  Gates of one level never read each other, so any
+    order inside a group evaluates the same words.
+    """
+    level = [0] * len(slot)
+    groups: Dict[Tuple[int, str], List[int]] = {}
+    for gate in circuit.topological_gates():
+        ins = [slot[n] for n in gate.inputs]
+        out = slot[gate.output]
+        lv = level[out] = 1 + max(map(level.__getitem__, ins), default=0)
+        key = (lv, gate.gate_type)
+        rows = groups.get(key)
+        if rows is None:
+            rows = groups[key] = []
+        rows += ins
+        rows.append(out)
+    ordered = sorted(groups.items(), key=lambda item: item[0][0])
+    return [[gate_type, rows] for (_, gate_type), rows in ordered]
+
+
+def _bind_plan(circuit: Circuit, version: int, nets: List[str],
+               caps: List[float], table: list) -> CompiledCircuit:
+    """Validate a plan table and bind it, with a slot layout, to
+    ``circuit``.
+
+    Every index must be an ``int`` slot, every cell type must resolve,
+    and every group's length must be a multiple of its row width;
+    anything else raises (a store rehydrate turns that into a miss).
     The slot layout (``nets`` order) may come from a *different*
     circuit object with the same structure — input/output/latch slot
     indices are always rederived from the bound circuit by net name,
     which is what makes store-rehydrated plans construction-order
     independent.
     """
+    n_slots = len(nets)
+    evaluators: Dict[str, Tuple[int, Callable]] = {}
+    fns: List[Callable] = []
+    for gate_type, rows in table:
+        if gate_type not in evaluators:
+            evaluators[gate_type] = group_evaluator(gate_type)
+        arity, fn = evaluators[gate_type]
+        if type(rows) is not list or len(rows) % (arity + 1):
+            raise ValueError(f"{gate_type} group: bad row length")
+        check_indices(rows, n_slots)
+        fns.append(fn)
     slot = {net: i for i, net in enumerate(nets)}
     return CompiledCircuit(
         circuit=circuit,
@@ -323,32 +439,34 @@ def _bind_plan(circuit: Circuit, version: int, nets: List[str],
                             1 if l.init else 0, l.clocked)
                  for l in circuit.latches],
         caps=caps,
-        evaluate=evaluate,
+        evaluate=partial(_evaluate, fns, table),
+        table=table,
+        fns=fns,
+        specs={t: gatelib.LIBRARY.get(t) for t in evaluators},
     )
 
 
 def _rehydrate_plan(circuit: Circuit, version: int,
                     payload: Dict[str, object]
                     ) -> Optional[CompiledCircuit]:
-    """Rebuild a compiled plan from a store payload, or ``None``.
+    """Rebind a plan table from a store payload, or ``None``.
 
-    Any structural disagreement between the payload and the live
-    circuit (possible only on a fingerprint collision or a corrupted
-    entry) is treated as a plain miss.
+    A payload without a valid table (including the compiled kernels
+    older versions stored) or any structural disagreement with the
+    live circuit (possible only on a fingerprint collision or a
+    corrupted entry) is a miss.
     """
     nets = payload.get("nets")
     caps = payload.get("caps")
     if not isinstance(nets, list) or not isinstance(caps, list) \
-            or len(nets) != len(caps):
-        return None
-    if len(nets) != len(circuit.nets) or set(nets) != set(circuit.nets):
+            or len(nets) != len(caps) or len(nets) != len(circuit.nets):
         return None
     try:
-        evaluate = artifact_store.load_function(
-            payload["code"], "__fastsim_eval")
+        if set(nets) != set(circuit.nets):
+            return None
         return _bind_plan(circuit, version, list(nets),
-                          [float(c) for c in caps], evaluate)
-    except Exception:
+                          [float(c) for c in caps], payload["table"])
+    except (KeyError, TypeError, ValueError, CompileError):
         return None
 
 
@@ -356,15 +474,17 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Lower ``circuit`` to its bit-parallel plan.
 
     Three cache layers, cheapest first: the plan cached on the
-    circuit object (invalidated by structural mutation), the
-    content-addressed plan store keyed by
-    :meth:`~repro.logic.netlist.Circuit.fingerprint` (shared across
-    objects and — with ``REPRO_STORE`` — across processes), and a
-    fresh compile, whose result is published back to the store.
+    circuit object (invalidated by structural mutation and by a new
+    registration of a cell it bound), the content-addressed plan
+    store keyed by :meth:`~repro.logic.netlist.Circuit.fingerprint`
+    (shared across objects and — with ``REPRO_STORE`` — across
+    processes), and a fresh table build, whose result is published
+    back to the store.
     """
     plan = getattr(circuit, "_fastsim_plan", None)
     version = getattr(circuit, "_version", 0)
-    if isinstance(plan, CompiledCircuit) and plan.version == version:
+    if isinstance(plan, CompiledCircuit) and plan.version == version \
+            and _specs_current(plan.specs):
         return plan
 
     st = artifact_store.get_store()
@@ -377,40 +497,34 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
             obs.inc("fastsim.rehydrates")
             circuit._fastsim_plan = plan
             return plan
+        obs.inc("fastsim.rehydrate_misses")
 
+    plan = build_plan(circuit)
+    st.put(fp, STORE_KIND, {"nets": plan.nets, "caps": plan.caps,
+                            "table": plan.table})
+    return plan
+
+
+def build_plan(circuit: Circuit) -> CompiledCircuit:
+    """A fresh plan for ``circuit``, cached on the object only.
+
+    :func:`compile_circuit`'s last layer; the incremental engine calls
+    it directly for the dirty regions it extracts, which are one
+    edit's and rarely seen twice, so they never enter the plan store.
+    """
     with obs.span("fastsim.compile", circuit=circuit.name) as sp:
-        try:
-            order = circuit.topological_gates()
-        except ValueError as exc:
-            raise CompileError(str(exc)) from exc
         nets = circuit.nets
         slot = {net: i for i, net in enumerate(nets)}
-
-        lines = ["def __fastsim_eval(V, M):"]
-        for gate in order:
-            ins = [f"V[{slot[n]}]" for n in gate.inputs]
-            lines.append(f"    V[{slot[gate.output]}] = "
-                         f"{_expression(gate.spec, ins)}")
-        if len(lines) == 1:
-            lines.append("    pass")
-        source = "\n".join(lines)
-        code = compile(source, f"<fastsim:{circuit.name}>", "exec")
-        namespace: Dict[str, object] = {}
-        exec(code, namespace)
-        sp.set("gates", len(order))
+        try:
+            table = _plan_table(circuit, slot)
+        except ValueError as exc:
+            raise CompileError(str(exc)) from exc
+        caps_map = circuit.load_capacitances()
+        plan = _bind_plan(circuit, getattr(circuit, "_version", 0), nets,
+                          [caps_map[n] for n in nets], table)
+        sp.set("gates", circuit.gate_count())
         sp.set("nets", len(nets))
         obs.inc("fastsim.compiles")
-
-    caps_map = circuit.load_capacitances()
-    plan = _bind_plan(circuit, version, nets,
-                      [caps_map[n] for n in nets],
-                      namespace["__fastsim_eval"])  # type: ignore[arg-type]
-    st.put(fp, STORE_KIND, {
-        "nets": plan.nets,
-        "caps": plan.caps,
-        "code": artifact_store.code_blob(
-            source, f"<fastsim:{fp[:12]}>", code),
-    })
     circuit._fastsim_plan = plan
     return plan
 
@@ -438,9 +552,309 @@ def _pack_inputs(circuit: Circuit,
     return words, len(vectors)
 
 
-#: Initial time-chunk length for sequential circuits; adapted upward
-#: when the latch fixed point converges quickly (feed-forward designs)
-#: and back down when it does not (tight feedback loops).
+# ----------------------------------------------------------------------
+# Settling latches by the latch graph
+# ----------------------------------------------------------------------
+#: A multi-latch loop walks its next-state table when the table has at
+#: most ``2**_WALK_BITS`` entries and no more than
+#: ``_WALK_LANES_PER_CYCLE`` per batch cycle; a wider loop sends the
+#: batch to the chunked fixed point.
+_WALK_BITS = 16
+_WALK_LANES_PER_CYCLE = 64
+
+
+@dataclass
+class _Level:
+    """One level of the latch graph's component DAG.
+
+    Its components read only latches of earlier levels (and
+    themselves), so they settle together, over the whole batch, once
+    every earlier level has.  ``evaluate`` runs just the gates their
+    data and enable nets read.
+    """
+
+    evaluate: Callable[[List[int], int], None]
+    delay: List[int]        # latches in no loop, without enable
+    affine: List[int]       # single-latch loops
+    walks: List[Tuple[List[int], List[int]]]   # (latches, support slots)
+
+
+@dataclass
+class _Settle:
+    levels: List[_Level]
+    evaluates: int          # whole-batch evaluates the levels cost
+    walk_bits: int          # widest next-state table (0 without walks)
+    paths: Dict[str, int]   # latches per settle path (obs counters)
+
+
+def _latch_graph(plan: CompiledCircuit) -> _Settle:
+    """Levelize the strongly connected components of the latch graph.
+
+    Latch ``i`` depends on latch ``j`` when ``j``'s output is in the
+    fanin of ``i``'s data or enable net; a latch with an enable also
+    depends on itself (it holds its value).  Supports are root
+    bitmasks (latch ``i`` is bit ``i``, input ``k`` bit
+    ``len(latches) + k``) computed over the next-state cones only.
+    """
+    latches = plan.latches
+    n_latches = len(latches)
+    reads: Dict[int, List[int]] = {}
+    where: Dict[int, Tuple[int, int]] = {}
+    for g, (gate_type, rows) in enumerate(plan.table):
+        width = group_evaluator(gate_type)[0] + 1
+        for j in range(0, len(rows), width):
+            out = rows[j + width - 1]
+            reads[out] = rows[j:j + width - 1]
+            where[out] = (g, j)
+    roots = [lp.out_slot for lp in latches] + plan.input_slots
+
+    def cone(starts: List[int], seen: Dict[int, int]) -> List[int]:
+        """Gate slots in the fanin of ``starts`` not yet in ``seen``,
+        each entered into ``seen`` with its root support."""
+        found = []
+        stack = list(starts)
+        while stack:
+            s = stack[-1]
+            if s in seen:
+                stack.pop()
+                continue
+            ins = reads.get(s)
+            if ins is None:       # a net nothing drives
+                seen[s] = 0
+                continue
+            todo = [i for i in ins if i not in seen]
+            if todo:
+                stack.extend(todo)
+                continue
+            m = 0
+            for i in ins:
+                m |= seen[i]
+            seen[s] = m
+            found.append(s)
+            stack.pop()
+        return found
+
+    def next_state(i: int) -> List[int]:
+        lp = latches[i]
+        return [lp.data_slot] if lp.enable_slot < 0 \
+            else [lp.data_slot, lp.enable_slot]
+
+    support = {s: 1 << b for b, s in enumerate(roots)}
+    masks = []
+    for i in range(n_latches):
+        starts = next_state(i)
+        cone(starts, support)
+        m = 1 << i if latches[i].enable_slot >= 0 else 0
+        for s in starts:
+            m |= support[s]
+        masks.append(m)
+    latch_bits = (1 << n_latches) - 1
+    deps = {i: tuple(_bits(m & latch_bits)) for i, m in enumerate(masks)}
+
+    by_level: Dict[int, _Level] = {}
+    level_of: Dict[int, int] = {}
+    walk_bits = 0
+    for scc in _tarjan_sccs(deps):
+        members = set(scc)
+        lv = 1 + max((level_of[j] for i in scc for j in deps[i]
+                      if j not in members), default=-1)
+        level = by_level.get(lv)
+        if level is None:
+            level = by_level[lv] = _Level(_evaluate, [], [], [])
+        for i in scc:
+            level_of[i] = lv
+        if len(scc) > 1:
+            m = 0
+            for i in scc:
+                m |= masks[i]
+            for i in scc:
+                m &= ~(1 << i)
+            level.walks.append((sorted(scc),
+                                [roots[b] for b in _bits(m)]))
+            walk_bits = max(walk_bits, m.bit_count() + len(scc))
+        elif masks[scc[0]] >> scc[0] & 1:
+            level.affine.append(scc[0])
+        else:
+            level.delay.append(scc[0])
+
+    levels = [by_level[lv] for lv in sorted(by_level)]
+    evaluates = 1
+    for level in levels:
+        starts = [s for i in level.delay + level.affine
+                  + [i for scc, _ in level.walks for i in scc]
+                  for s in next_state(i)]
+        gates = cone(starts, dict.fromkeys(roots, 0))
+        level.evaluate = partial(_evaluate,
+                                 *_sub_table(plan, where, gates))
+        evaluates += 2 if level.affine else 1
+    paths = {"delay": sum(len(lv.delay) for lv in levels),
+             "affine": sum(len(lv.affine) for lv in levels),
+             "walk": sum(len(scc) for lv in levels for scc, _ in lv.walks)}
+    return _Settle(levels, evaluates, walk_bits, paths)
+
+
+def _bits(m: int) -> List[int]:
+    """Indices of the set bits of ``m``, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _sub_table(plan: CompiledCircuit, where: Dict[int, Tuple[int, int]],
+               outs: List[int]) -> Tuple[List[Callable], list]:
+    """``(fns, table)`` of the plan's rows that write ``outs``, in
+    table order."""
+    fns: List[Callable] = []
+    table: list = []
+    last = -1
+    for g, j in sorted(where[o] for o in outs):
+        gate_type, rows = plan.table[g]
+        if g != last:
+            last = g
+            fns.append(plan.fns[g])
+            table.append([gate_type, []])
+        table[-1][1].extend(rows[j:j + group_evaluator(gate_type)[0] + 1])
+    return fns, table
+
+
+def _next_words(plan: CompiledCircuit, V: List[int], mask: int,
+                latches: List[int]) -> List[int]:
+    """Each latch's next-state word from evaluated slot words."""
+    out = []
+    for i in latches:
+        lp = plan.latches[i]
+        d = V[lp.data_slot] & mask
+        if lp.enable_slot >= 0:
+            e = V[lp.enable_slot]
+            d = (d & e) | (V[lp.out_slot] & (mask ^ e))
+        out.append(d)
+    return out
+
+
+def _affine_word(a: int, b: int, q0: int, n: int) -> int:
+    """Latch word of ``q[t+1] = b[t] ^ (a[t] & q[t])`` from ``q[0] = q0``.
+
+    A doubling prefix composition of the per-cycle affine maps: after
+    the pass with shift ``s``, bit ``t`` of ``(a, b)`` maps ``q`` at
+    cycle ``t - 2s + 1`` (or 0) to ``q`` at cycle ``t + 1``.
+    """
+    s = 1
+    while s < n - 1:
+        b ^= a & (b << s)
+        a &= (a << s) | ((1 << s) - 1)
+        s <<= 1
+    return ((((a if q0 else 0) ^ b) << 1) | q0) & ((1 << n) - 1)
+
+
+def _variable(j: int, k: int) -> int:
+    """Truth-table lane word of variable ``j`` of ``k``: bit ``r`` is
+    bit ``j`` of ``r``."""
+    period = 2 << j
+    unit = ((1 << (1 << j)) - 1) << (1 << j)
+    return unit * (((1 << (1 << k)) - 1) // ((1 << period) - 1))
+
+
+def _walk(plan: CompiledCircuit, level: _Level, V: List[int], n: int,
+          scc: List[int], roots: List[int], state: List[int]) -> None:
+    """Settle a multi-latch loop by walking its next-state table.
+
+    One evaluate on ``2**k`` truth-table lanes (the roots, then the
+    loop's latches) gives the table; numpy packs each cycle's root
+    values into a code, a Python loop walks the states, and each
+    latch's word is packed back.
+    """
+    import numpy as np
+
+    ns = len(roots)
+    k = ns + len(scc)
+    lanes = 1 << k
+    tmask = (1 << lanes) - 1
+    W = [0] * plan.n_slots
+    for j, s in enumerate(roots + [plan.latches[i].out_slot for i in scc]):
+        W[s] = _variable(j, k)
+    level.evaluate(W, tmask)
+    nbytes = (lanes + 7) // 8
+    table = np.zeros(lanes, dtype=np.int64)
+    for i, word in enumerate(_next_words(plan, W, tmask, scc)):
+        bits = np.unpackbits(np.frombuffer(word.to_bytes(nbytes, "little"),
+                                           dtype=np.uint8),
+                             count=lanes, bitorder="little")
+        table |= bits.astype(np.int64) << (ns + i)
+    codes = np.zeros(n, dtype=np.int64)
+    nbytes = (n + 7) // 8
+    for j, s in enumerate(roots):
+        bits = np.unpackbits(np.frombuffer(V[s].to_bytes(nbytes, "little"),
+                                           dtype=np.uint8),
+                             count=n, bitorder="little")
+        codes |= bits.astype(np.int64) << j
+    step = table.tolist()
+    q = 0
+    for j, i in enumerate(scc):
+        q |= state[i] << (ns + j)
+    states = []
+    append = states.append
+    for c in codes.tolist():
+        append(q)
+        q = step[c | q]
+    walked = np.array(states, dtype=np.int64)
+    for j, i in enumerate(scc):
+        bits = ((walked >> (ns + j)) & 1).astype(np.uint8)
+        V[plan.latches[i].out_slot] = int.from_bytes(
+            np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _settled(plan: CompiledCircuit, in_words: List[int], n: int,
+             state: List[int]) -> Optional[List[int]]:
+    """Slot words of a sequential batch settled level by level, or
+    ``None`` when the chunked fixed point is the cheaper (or the only)
+    way: the batch is shorter than the evaluates the levels cost, or
+    a loop's next-state table is too wide for it."""
+    settle = plan.settle
+    if settle is None:
+        settle = plan.settle = _latch_graph(plan)
+    if n < settle.evaluates or (settle.walk_bits and (
+            settle.walk_bits > _WALK_BITS
+            or 1 << settle.walk_bits > _WALK_LANES_PER_CYCLE * n)):
+        return None
+    mask = (1 << n) - 1
+    V = [0] * plan.n_slots
+    for s, w in zip(plan.input_slots, in_words):
+        V[s] = w & mask
+    latches = plan.latches
+    for level in settle.levels:
+        if level.affine or level.delay:
+            for i in level.affine:
+                V[latches[i].out_slot] = 0
+            level.evaluate(V, mask)
+            data = [V[latches[i].data_slot] for i in level.delay]
+            if level.affine:
+                b = _next_words(plan, V, mask, level.affine)
+                for i in level.affine:
+                    V[latches[i].out_slot] = mask
+                level.evaluate(V, mask)
+                f1 = _next_words(plan, V, mask, level.affine)
+                for i, b0, b1 in zip(level.affine, b, f1):
+                    V[latches[i].out_slot] = _affine_word(
+                        b0 ^ b1, b0, state[i], n)
+            for i, d in zip(level.delay, data):
+                V[latches[i].out_slot] = ((d << 1) | state[i]) & mask
+        for scc, roots in level.walks:
+            _walk(plan, level, V, n, scc, roots, state)
+    plan.evaluate(V, mask)
+    if obs.enabled():
+        for path, count in settle.paths.items():
+            if count:
+                obs.inc(f"fastsim.settle.{path}", count)
+    return V
+
+
+#: Initial time-chunk length of the fixed point for sequential
+#: circuits; adapted upward when the latch fixed point converges
+#: quickly (feed-forward designs) and back down when it does not
+#: (tight feedback loops).
 _CHUNK = 64
 _CHUNK_MAX = 4096
 
@@ -452,11 +866,12 @@ def _iter_chunks(plan: CompiledCircuit, in_words: List[int], n_cycles: int,
 
     Each item is ``(V, base, c, mask)``: ``V[slot]`` holds the net's
     packed values for cycles ``base .. base+c-1`` (bit ``t-base`` =
-    cycle ``t``).  Combinational circuits produce a single chunk
-    covering the whole batch; sequential circuits iterate the latch
-    update masks to a fixed point per chunk (bits 0..k of every latch
-    word are exact after k passes, so at most ``c+1`` passes settle a
-    chunk of ``c`` cycles).
+    cycle ``t``).  Combinational circuits, and sequential ones the
+    latch graph settles (:func:`_settled`), produce a single chunk
+    covering the whole batch; otherwise the latch update masks
+    iterate to a fixed point per chunk (bits 0..k of every latch word
+    are exact after k passes, so at most ``c+1`` passes settle a chunk
+    of ``c`` cycles).
     """
     circuit = plan.circuit
     latches = plan.latches
@@ -465,6 +880,13 @@ def _iter_chunks(plan: CompiledCircuit, in_words: List[int], n_cycles: int,
     else:
         state = [1 if initial_state[l.output] else 0
                  for l in circuit.latches]
+    if latches and n_cycles:
+        V = _settled(plan, in_words, n_cycles, state)
+        if V is not None:
+            yield V, 0, n_cycles, (1 << n_cycles) - 1
+            return
+        if obs.enabled():
+            obs.inc("fastsim.settle.fixed_point", len(latches))
 
     evaluate = plan.evaluate
     chunk = n_cycles if not latches else _CHUNK
@@ -602,6 +1024,9 @@ def net_words(circuit: Circuit, vectors: Stimulus,
     slots = [plan.slot[net] for net in wanted]
     acc = [0] * len(slots)
     for V, base, c, mask in _iter_chunks(plan, in_words, n, initial_state):
+        if c == n:                # the whole batch in one chunk
+            acc = [V[s] & mask for s in slots]
+            break
         for j, s in enumerate(slots):
             acc[j] |= (V[s] & mask) << base
     return dict(zip(wanted, acc)), n

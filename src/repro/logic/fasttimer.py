@@ -14,12 +14,12 @@ N cycles bit-parallel, one bignum word per (net, tick):
 - The schedule is lowered to a *plan table*, plain data: per tick, the
   slots applied and the pending word each one reads, the zero-delay
   gates (topological order, applied inline) and the delayed gates
-  grouped by cell type as rows of ``[input slots..., pending index]``.
-  One fixed interpreter walks the table; each cell type gets one group
-  evaluator, generated once per process from fastsim's packed-word
-  expression and cached by its source text.  No per-design code is
-  generated, so a never-seen design costs a table build, not a
-  ``compile()`` of a straight-line kernel.
+  grouped by cell type, each group one flat list of ``input slots...,
+  pending index`` rows.  One fixed interpreter walks the table; each
+  cell type gets one group evaluator, shared with the zero-delay plan
+  (:func:`repro.logic.fastsim.group_evaluator`) and cached by its
+  source text.  No per-design code is generated, so a never-seen
+  design costs a table build, not a ``compile()`` of a kernel.
 - The table is also the artifact-store payload (JSON, no code), so
   pool workers (search sweeps, the estimation service) rehydrate
   data: every index and cell type is validated before binding, and a
@@ -55,9 +55,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import obs
 from repro import store as artifact_store
 from repro.backend.core import resolve_engine
-from repro.logic import fastsim, gates as gatelib
+from repro.logic import fastsim
 from repro.logic.fastsim import CompileError, PackedVectors, Stimulus
-from repro.logic.netlist import Circuit
+from repro.logic.netlist import Circuit, _specs_current
 
 #: Schedule size cap: total scheduled applies+evaluations.  It bounds
 #: the plan table (one entry per operation) and the pending words one
@@ -96,35 +96,6 @@ STORE_KIND = "fasttimer"
 # ----------------------------------------------------------------------
 # Plan table: build, bind, interpret
 # ----------------------------------------------------------------------
-#: Group evaluators, keyed by their generated source text rather than
-#: by cell name, so a cell name registered again with another function
-#: never runs the stale expression.
-_EVALUATORS: Dict[str, Callable] = {}
-
-
-def _group_evaluator(gate_type: str) -> Tuple[int, Callable]:
-    """``(arity, fn)`` for ``gate_type``'s group evaluator.
-
-    ``fn(C, P, rows, M)`` evaluates the cell on packed words for every
-    row ``[in_0, ..., in_{k-1}, p]``: it reads ``C[in_j]`` and writes
-    ``P[p]``.  Raises ``KeyError`` for an unknown cell and
-    :class:`CompileError` when the cell cannot be lowered.
-    """
-    spec = gatelib.gate_spec(gate_type)
-    names = [f"i{j}" for j in range(spec.n_inputs)]
-    expr = fastsim._expression(spec, [f"C[{n}]" for n in names])
-    source = (f"def _group(C, P, rows, M):\n"
-              f"    for {', '.join(names + ['p'])}, in rows:\n"
-              f"        P[p] = {expr}\n")
-    fn = _EVALUATORS.get(source)
-    if fn is None:
-        namespace: Dict[str, object] = {}
-        exec(compile(source, f"<fasttimer:{gate_type}>", "exec"),
-             namespace)
-        fn = _EVALUATORS[source] = namespace["_group"]  # type: ignore
-    return spec.n_inputs, fn
-
-
 def _plan_table(schedule: Dict[int, Tuple[List[int], List]],
                 slot: Dict[str, int], delays: Dict[str, int]
                 ) -> Tuple[list, int]:
@@ -139,10 +110,10 @@ def _plan_table(schedule: Dict[int, Tuple[List[int], List]],
     - ``zero``: zero-delay gates in topological order, each
       ``[type, [in..., k], slot]``: evaluated into ``P[k]`` and applied
       at once, so later gates in the tick see the new value;
-    - ``groups``: the delayed gates, ``[type, rows]`` with rows
-      ``[in..., k]``.  They read ``C`` and write ``P`` only, so the
-      order inside a group does not matter and running them after the
-      zero-delay gates changes nothing.
+    - ``groups``: the delayed gates, ``[type, rows]`` with ``rows`` the
+      flat ``in..., k`` list of the group's gates.  They read ``C`` and
+      write ``P`` only, so the order inside a group does not matter and
+      running them after the zero-delay gates changes nothing.
 
     Pending indices are recycled once their word has been applied, so
     ``n_pending`` is the peak number of words in flight.
@@ -182,27 +153,22 @@ def _plan_table(schedule: Dict[int, Tuple[List[int], List]],
                     f"duplicate writer for net slot {s} at tick "
                     f"{tick + d}")
             pending[(s, tick + d)] = k
-            groups.setdefault(gate.gate_type, []).append(row)
+            groups.setdefault(gate.gate_type, []).extend(row)
         table.append([tick, applies, zero,
                       [[t, rows] for t, rows in groups.items()]])
     return table, n_pending
-
-
-def _check_indices(values: List[int], limit: int) -> None:
-    if values and (set(map(type, values)) != {int}
-                   or not 0 <= min(values) <= max(values) < limit):
-        raise ValueError(f"plan index outside [0, {limit})")
 
 
 def _bind_table(table: list, n_slots: int, n_pending: int) -> Callable:
     """Validate ``table`` and bind it to the interpreter as a kernel.
 
     Every slot index must be below ``n_slots``, every pending index
-    below ``n_pending``, and every cell type must resolve with a
-    matching row arity; anything else raises (a store rehydrate turns
-    that into a miss), so a bound kernel never indexes out of range.
-    Zero-delay gates split their tick into steps: a step applies, then
-    evaluates, and each zero-delay gate's apply opens the next step.
+    below ``n_pending``, every cell type must resolve, and every row
+    list must hold whole rows (one for a zero-delay gate); anything
+    else raises (a store rehydrate turns that into a miss), so a bound
+    kernel never indexes out of range.  Zero-delay gates split their
+    tick into steps: a step applies, then evaluates, and each
+    zero-delay gate's apply opens the next step.
     """
     if type(n_pending) is not int or not 0 <= n_pending <= _MAX_OPS:
         raise ValueError(f"bad pending count {n_pending!r}")
@@ -210,15 +176,18 @@ def _bind_table(table: list, n_slots: int, n_pending: int) -> Callable:
     slots: List[int] = []          # indices into C and T (N at tick 0)
     pends: List[int] = []          # indices into P
 
-    def group(gate_type: str, rows: list) -> Tuple[Callable, list]:
+    def group(gate_type: str, rows: list, single: bool = False
+              ) -> Tuple[Callable, list]:
         if gate_type not in evaluators:
-            evaluators[gate_type] = _group_evaluator(gate_type)
+            evaluators[gate_type] = fastsim.group_evaluator(gate_type)
         arity, fn = evaluators[gate_type]
-        for row in rows:
-            if len(row) != arity + 1:
-                raise ValueError(f"{gate_type} row {row!r}: bad arity")
-            slots.extend(row[:-1])
-            pends.append(row[-1])
+        width = arity + 1
+        if type(rows) is not list or len(rows) % width \
+                or (single and len(rows) != width):
+            raise ValueError(f"{gate_type} rows: bad length")
+        for j in range(arity):
+            slots.extend(rows[j::width])
+        pends.extend(rows[arity::width])
         return fn, rows
 
     steps = []
@@ -228,13 +197,14 @@ def _bind_table(table: list, n_slots: int, n_pending: int) -> Callable:
             slots.append(s)
             (slots if reads_n else pends).append(k)
         for gate_type, row, s in zero:
-            steps.append((reads_n, applies, [group(gate_type, [row])]))
+            steps.append((reads_n, applies,
+                          [group(gate_type, row, single=True)]))
             slots.append(s)
             reads_n, applies = False, [[s, row[-1]]]
         steps.append((reads_n, applies,
                       [group(gate_type, rows) for gate_type, rows in groups]))
-    _check_indices(slots, n_slots)
-    _check_indices(pends, n_pending)
+    fastsim.check_indices(slots, n_slots)
+    fastsim.check_indices(pends, n_pending)
     return partial(_interpret, steps, n_pending)
 
 
@@ -299,16 +269,18 @@ def _rehydrate_timed(circuit: Circuit, version: int,
 def compile_timed(circuit: Circuit) -> TimedPlan:
     """Lower ``circuit`` to its tick-wheel plan.
 
-    Cached like the zero-delay plan: on the circuit object, then in
-    the content-addressed plan store (fingerprint-keyed, process-
-    crossing with ``REPRO_STORE``), then built fresh and published
-    back.
+    Cached like the zero-delay plan: on the circuit object (until a
+    structural mutation or a new registration of a cell it bound),
+    then in the content-addressed plan store (fingerprint-keyed,
+    process-crossing with ``REPRO_STORE``), then built fresh and
+    published back.
     """
     from repro.logic import eventsim
 
     plan = getattr(circuit, "_fasttimer_plan", None)
     version = getattr(circuit, "_version", 0)
-    if isinstance(plan, TimedPlan) and plan.version == version:
+    if isinstance(plan, TimedPlan) and plan.version == version \
+            and _specs_current(plan.func.specs):
         return plan
 
     st = artifact_store.get_store()

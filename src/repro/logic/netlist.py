@@ -386,17 +386,18 @@ class Circuit:
                 if n not in ext_seen:
                     ext_seen.add(n)
                     ext.append(n)
-        for n in self.inputs:
-            if n in region:
-                sub.add_input(n)
-        for n in ext:
-            sub.add_input(n)
-        for g in gates:
-            sub.add_gate(g.gate_type, list(g.inputs), output=g.output,
-                         name=g.name)
-        for l in latches:
-            sub.add_latch(l.data, output=l.output, init=l.init,
-                          name=l.name, enable=l.enable, clocked=l.clocked)
+        # Copied in bulk, as clone() does: the drivers come from a
+        # well-formed circuit, so add_gate's checks have nothing to find.
+        sub.inputs = [n for n in self.inputs if n in region] + ext
+        sub.gates = [Gate(g.name, g.gate_type, g.inputs[:], g.output)
+                     for g in gates]
+        sub.latches = [Latch(l.name, l.data, l.output, l.init, l.enable,
+                             l.clocked) for l in latches]
+        driver = sub._driver
+        driver.update(dict.fromkeys(sub.inputs, "input"))
+        driver.update(zip(map(attrgetter("output"), sub.gates), sub.gates))
+        driver.update(zip(map(attrgetter("output"), sub.latches),
+                          sub.latches))
         return sub, ext
 
     # ------------------------------------------------------------------

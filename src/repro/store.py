@@ -23,15 +23,11 @@ Two layers, consulted in order:
   (``REPRO_STORE_MAX_BYTES``).  Reads touch the file's mtime, so hot
   artifacts survive eviction.
 
-Payloads are JSON-able dicts.  Most are plain data (fasttimer's plan
-tables, which the engine validates before binding, tick grids,
-activity counts); generated code (fastsim's kernels) travels as
-*both* the source text and a ``marshal`` dump of the compiled code
-object tagged with the interpreter's bytecode magic: a matching
-interpreter skips the (expensive) ``compile`` step entirely, any other
-interpreter falls back to recompiling the source, and an unknown
-schema version is a plain miss — cross-version poisoning is
-structurally impossible.
+Payloads are JSON-able dicts of plain data: fastsim's and fasttimer's
+plan tables, which each engine validates before binding, tick grids,
+activity counts.  No payload carries code, so nothing read from a
+shared disk store is ever executed; an unknown schema version is a
+plain miss, so cross-version poisoning is structurally impossible.
 
 The store is *advisory everywhere*: a miss, a corrupt file, or an
 unwritable directory degrades to recompilation, never to an error.
@@ -39,21 +35,17 @@ unwritable directory degrades to recompilation, never to an error.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import importlib.util
 import json
-import marshal
 import os
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 __all__ = [
     "SCHEMA", "ArtifactStore", "get_store", "set_store", "configure",
-    "code_blob", "load_function",
     "ACTIVITY_SCHEMA", "ACTIVITY_KIND", "activity_key",
     "pack_activity", "unpack_activity",
     "ENV_DIR", "ENV_MAX_BYTES", "ENV_MEM_ENTRIES",
@@ -71,57 +63,6 @@ ENV_MEM_ENTRIES = "REPRO_STORE_MEM"
 
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 DEFAULT_MEM_ENTRIES = 128
-
-#: This interpreter's bytecode tag; marshal blobs are only loaded
-#: when it matches.
-_PY_MAGIC = importlib.util.MAGIC_NUMBER.hex()
-
-
-# ----------------------------------------------------------------------
-# Compiled-code payloads
-# ----------------------------------------------------------------------
-def code_blob(source: str, filename: str,
-              code: Optional[Any] = None) -> Dict[str, str]:
-    """Package generated source (plus its code object) for the store.
-
-    ``code`` is the already-compiled module code object when the
-    caller has one (avoids compiling twice); the marshal dump is
-    tagged with the interpreter magic so :func:`load_function` knows
-    when it is trustworthy.
-    """
-    if code is None:
-        code = compile(source, filename, "exec")
-    return {
-        "source": source,
-        "filename": filename,
-        "magic": _PY_MAGIC,
-        "marshal": base64.b64encode(marshal.dumps(code)).decode("ascii"),
-    }
-
-
-def load_function(blob: Dict[str, str], name: str) -> Callable:
-    """Rebuild the named function from a :func:`code_blob` payload.
-
-    Prefers the marshal fast path (same interpreter magic: no
-    ``compile`` call, microseconds instead of milliseconds on big
-    kernels); falls back to compiling the stored source.  Raises on
-    malformed payloads — callers treat any exception as a cache miss.
-    """
-    code = None
-    if blob.get("magic") == _PY_MAGIC and blob.get("marshal"):
-        try:
-            code = marshal.loads(base64.b64decode(blob["marshal"]))
-        except (ValueError, EOFError, TypeError):
-            code = None
-    if code is None:
-        code = compile(blob["source"], blob.get("filename", "<store>"),
-                       "exec")
-    namespace: Dict[str, Any] = {}
-    exec(code, namespace)
-    fn = namespace[name]
-    if not callable(fn):
-        raise TypeError(f"store blob did not define callable {name!r}")
-    return fn
 
 
 # ----------------------------------------------------------------------

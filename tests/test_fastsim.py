@@ -12,7 +12,7 @@ circuits, including load-enable latches and clock-gating capacitance.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.logic import fastsim
 from repro.logic.generators import (
@@ -146,6 +146,110 @@ class TestSequentialEquivalence:
         vectors = [{"en": int(v["en"])} for v in vectors]
         assert fastsim.output_trace(circuit, vectors) == \
             output_trace(circuit, vectors, engine="reference")
+
+
+#: Two-input cells the settle-matrix circuits draw from.
+_BINARY = ("AND2", "OR2", "XOR2", "NAND2", "NOR2", "XNOR2")
+
+#: The four ways fastsim settles a sequential batch.
+_SETTLE_PATHS = ("delay", "affine", "walk", "fixed_point")
+
+
+def settle_circuit(seed: int, wide: bool) -> Circuit:
+    """A sequential circuit with every latch shape the latch-graph
+    settle distinguishes: a shift chain (delays), a counter and a
+    load-enable latch (single-latch loops), a guarded-evaluation
+    TLATCH pair, an FSM core (a multi-latch loop) and, with ``wide``,
+    a 17-latch ring too wide to walk."""
+    rng = random.Random(seed)
+    c = Circuit(f"settle{seed}")
+    ins = c.add_inputs([f"x{i}" for i in range(rng.randint(2, 4))])
+    pool = list(ins)
+
+    def bit() -> int:
+        return rng.randint(0, 1)
+
+    d = rng.choice(ins)
+    for i in range(rng.randint(1, 3)):
+        d = c.add_latch(d, output=f"s{i}", init=bit())
+    pool.append(d)
+    carry = ins[0]
+    for i in range(rng.randint(1, 4)):
+        nxt = c.add_gate("XOR2", [f"c{i}", carry])
+        carry = c.add_gate("AND2", [f"c{i}", carry])
+        c.add_latch(nxt, output=f"c{i}", init=bit())
+    pool.append(carry)
+    held = c.add_gate(rng.choice(_BINARY), rng.sample(pool, 2))
+    c.add_latch(held, output="le", enable=rng.choice(pool), init=bit())
+    guard = rng.choice(ins)
+    tl = c.add_gate("TLATCH", [rng.choice(pool), "gq", guard])
+    c.add_latch(tl, output="gq", enable=c.add_gate("INV", [guard]),
+                clocked=False, init=bit())
+    fsm = [f"f{i}" for i in range(rng.randint(2, 3))]
+    for i, q in enumerate(fsm):
+        mix = c.add_gate(rng.choice(_BINARY),
+                         [fsm[(i + 1) % len(fsm)], rng.choice(pool + fsm)])
+        c.add_latch(c.add_gate(rng.choice(_BINARY), [mix, rng.choice(ins)]),
+                    output=q, init=bit())
+    outs = ["le", "gq", *fsm, d]
+    if wide:
+        ring = [f"r{i}" for i in range(17)]
+        for i, q in enumerate(ring):
+            c.add_latch(c.add_gate("XOR2", [ring[i - 1], ins[-1]]),
+                        output=q, init=bit())
+        outs.append(ring[0])
+    for net in outs:
+        c.add_output(c.add_gate(rng.choice(_BINARY), [net, tl]))
+    return c
+
+
+class TestSettleMatrix:
+    def test_every_settle_path_matches_reference(self):
+        """Random designs mixing every latch shape, random initial
+        state and batch lengths across the 64-cycle chunk boundaries:
+        activity, net words and timed runs equal the reference, and
+        across the examples every settle path runs."""
+        from repro import obs
+        from repro.logic.eventsim import EventSimulator
+
+        ran = dict.fromkeys(_SETTLE_PATHS, 0)
+
+        @settings(deadline=None, max_examples=25)
+        @given(seed=st.integers(0, 10_000), wide=st.booleans(),
+               n_cycles=st.integers(1, 192))
+        @example(seed=1, wide=True, n_cycles=150)
+        @example(seed=2, wide=False, n_cycles=130)
+        def check(seed, wide, n_cycles):
+            circuit = settle_circuit(seed, wide)
+            vectors = random_vectors(circuit.inputs, n_cycles, seed=seed)
+            rng = random.Random(seed)
+            state = {l.output: rng.randint(0, 1) for l in circuit.latches}
+            before = {p: obs.registry.counter(f"fastsim.settle.{p}")
+                      for p in _SETTLE_PATHS}
+            assert_reports_identical(
+                fastsim.collect_activity(circuit, vectors, state),
+                _collect_activity_reference(circuit, vectors, state))
+            assert fastsim.net_words(circuit, vectors,
+                                     initial_state=state) \
+                == fastsim.net_words_engine(circuit, vectors,
+                                            initial_state=state,
+                                            engine="reference")
+            fast = EventSimulator(circuit, engine="fast").run(vectors)
+            ref = EventSimulator(circuit, engine="reference").run(vectors)
+            assert (fast.toggles, fast.ones, fast.events, fast.glitches,
+                    fast.clock_capacitance) == (
+                ref.toggles, ref.ones, ref.events, ref.glitches,
+                ref.clock_capacitance)
+            for p in _SETTLE_PATHS:
+                ran[p] += obs.registry.counter(f"fastsim.settle.{p}") \
+                    - before[p]
+
+        obs.enable()
+        try:
+            check()
+        finally:
+            obs.disable()
+        assert all(ran.values()), ran
 
 
 class TestDispatch:

@@ -217,6 +217,43 @@ class TestCellFunctions:
         finally:
             gatelib.LIBRARY.pop("CELL_T", None)
 
+    def test_same_object_rebinds_after_reregistration(self, mem_store):
+        """One circuit object, estimated before and after its cell is
+        registered again: both plans it cached must rebind."""
+        from repro.logic import gates as gatelib
+
+        try:
+            gatelib.LIBRARY["CELL_T"] = gatelib.GateSpec(
+                "CELL_T", 2, _and, 1.2, 0.7, 2.0, 1.2)
+            circuit = _one_cell("CELL_T")
+            vectors = fastsim.random_packed_vectors(circuit.inputs, 256,
+                                                    seed=1)
+            ones_and = self._check_engines(circuit, vectors).ones["y"]
+            gatelib.LIBRARY["CELL_T"] = gatelib.GateSpec(
+                "CELL_T", 2, _or, 1.2, 0.7, 2.0, 1.2)
+            ones_or = self._check_engines(circuit, vectors).ones["y"]
+            assert ones_or != ones_and
+            words, _n = fastsim.net_words(circuit, vectors)
+            assert words == fastsim.net_words_engine(
+                circuit, vectors, engine="reference")[0]
+        finally:
+            gatelib.LIBRARY.pop("CELL_T", None)
+
+    def test_bdds_follow_reregistered_builtin(self):
+        from repro.logic import gates as gatelib
+        from repro.logic.bdd_bridge import net_bdds
+
+        shipped = gatelib.LIBRARY["AND2"]
+        try:
+            gatelib.LIBRARY["AND2"] = gatelib.GateSpec(
+                "AND2", 2, _or, shipped.input_cap, shipped.output_cap,
+                shipped.delay, shipped.area)
+            assert net_bdds(_one_cell("AND2"))["y"].sat_count(
+                ["a", "b"]) == 3
+        finally:
+            gatelib.LIBRARY["AND2"] = shipped
+        assert net_bdds(_one_cell("AND2"))["y"].sat_count(["a", "b"]) == 1
+
     def test_reregistered_builtin_name_changes_fingerprint(self,
                                                            mem_store):
         from repro.logic import gates as gatelib
@@ -383,6 +420,13 @@ class TestConcurrency:
 # ----------------------------------------------------------------------
 # Engine rehydration
 # ----------------------------------------------------------------------
+def _legacy_blob(source):
+    """A compiled-kernel payload field in the layout older versions
+    stored (source text plus a tagged bytecode dump)."""
+    return {"source": source, "filename": "<legacy>",
+            "magic": "00000000", "marshal": ""}
+
+
 class TestRehydration:
     def test_fastsim_rehydrate_bit_identical(self, mem_store):
         a = ripple_carry_adder(8)
@@ -453,6 +497,51 @@ class TestRehydration:
         assert warm.glitches == cold.glitches
 
     @pytest.mark.parametrize("damage", [
+        "legacy_code", "slot_out_of_range", "unknown_gate_type",
+        "row_length"])
+    def test_fastsim_bad_payload_rebuilds(self, mem_store, damage):
+        """A zero-delay payload without a valid plan table is a counted
+        miss and one rebuild, never a kernel that raises or miscounts."""
+        a = counter(6)
+        vectors = fastsim.random_packed_vectors(a.inputs, 256, seed=4)
+        cold = fastsim.collect_activity(a, vectors)
+        fp = a.fingerprint()
+        payload = json.loads(json.dumps(
+            mem_store.get(fp, fastsim.STORE_KIND)))     # deep copy
+        gate_type, rows = payload["table"][-1]
+        if damage == "legacy_code":
+            # The format older versions stored: a compiled straight-line
+            # kernel instead of a table.  The stand-in evaluates
+            # nothing, so binding it would show up as a wrong report.
+            del payload["table"]
+            payload["code"] = _legacy_blob(
+                "def __fastsim_eval(V, M):\n    pass\n")
+        elif damage == "slot_out_of_range":
+            rows[-1] = len(payload["nets"])
+        elif damage == "unknown_gate_type":
+            payload["table"][-1][0] = "NO_SUCH_CELL"
+        else:
+            rows.pop()
+        mem_store.put(fp, fastsim.STORE_KIND, payload)
+
+        c = counter(6)
+        assert fastsim._rehydrate_plan(c, 0, payload) is None
+        puts = mem_store.stats()["puts"]
+        obs.enable()
+        try:
+            misses = obs.registry.counter("fastsim.rehydrate_misses")
+            rebuilt = fastsim.collect_activity(c, vectors)
+            assert obs.registry.counter("fastsim.rehydrate_misses") \
+                == misses + 1
+        finally:
+            obs.disable()
+        assert mem_store.stats()["puts"] == puts + 1   # rebuilt, published
+        assert rebuilt == cold
+        again = fastsim.collect_activity(counter(6), vectors)
+        assert mem_store.stats()["puts"] == puts + 1
+        assert again == cold
+
+    @pytest.mark.parametrize("damage", [
         "legacy_kernel", "legacy_kernel_be", "slot_out_of_range",
         "pending_out_of_range", "unknown_gate_type", "row_arity"])
     def test_fasttimer_bad_payload_rebuilds(self, mem_store, damage):
@@ -470,25 +559,23 @@ class TestRehydration:
             # The stand-in kernels count nothing, so binding either
             # would show up as a wrong report.
             del payload["table"], payload["n_pending"]
-            source = "def __fasttimer_eval(C, N, T, M):\n    return 0\n"
-            payload["kernel"] = artifact_store.code_blob(
-                source, "<fasttimer>")
+            payload["kernel"] = _legacy_blob(
+                "def __fasttimer_eval(C, N, T, M):\n    return 0\n")
             if damage == "legacy_kernel_be":
-                source_be = ("def __fasttimer_eval_be(C, N, T, M, ANY, "
-                             "PC):\n    return 0\n")
-                payload["kernel_be"] = artifact_store.code_blob(
-                    source_be, "<fasttimer-be>")
+                payload["kernel_be"] = _legacy_blob(
+                    "def __fasttimer_eval_be(C, N, T, M, ANY, PC):\n"
+                    "    return 0\n")
         else:
             tick = next(t for t in payload["table"] if t[3])
             gate_type, rows = tick[3][0]
             if damage == "slot_out_of_range":
-                rows[0][0] = len(payload["nets"])
+                rows[0] = len(payload["nets"])
             elif damage == "pending_out_of_range":
-                rows[0][-1] = payload["n_pending"]
+                rows[-1] = payload["n_pending"]
             elif damage == "unknown_gate_type":
                 tick[3][0][0] = "NO_SUCH_CELL"
             else:
-                rows[0].pop(0)
+                rows.pop(0)
         mem_store.put(fp, fasttimer.STORE_KIND, payload)
 
         c = ripple_carry_adder(6)
@@ -569,14 +656,3 @@ class TestCrossProcess:
         for toggles, disk_hits in results:
             assert toggles == first
             assert disk_hits >= 1
-
-    def test_code_blob_marshal_fast_path(self):
-        source = "def __probe(x):\n    return x * 3\n"
-        code = compile(source, "<probe>", "exec")
-        blob = artifact_store.code_blob(source, "<probe>", code)
-        assert blob["magic"]                       # tagged
-        fn = artifact_store.load_function(blob, "__probe")
-        assert fn(14) == 42
-        # Magic mismatch (old interpreter's cache) → source fallback.
-        stale = dict(blob, magic="deadbeef")
-        assert artifact_store.load_function(stale, "__probe")(14) == 42
