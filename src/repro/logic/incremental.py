@@ -49,20 +49,19 @@ under the ``"activity"`` store kind.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import add, attrgetter, mul
+from operator import add, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, \
     Union
 
 from repro import obs
 from repro.backend.core import resolve_engine
 from repro.logic import gates as gatelib
-from repro.logic.fastsim import CompileError, PackedVectors, \
-    build_plan, input_lane_hashes, lane_counts, net_words_engine, \
-    stimulus_fingerprint
+from repro.logic.fastsim import PackedVectors, input_lane_hashes, \
+    lane_counts, net_words_engine, stimulus_fingerprint
 from repro.logic.netlist import Circuit
 from repro.logic.simulate import ActivityReport, Vector, collect_activity
 
@@ -109,10 +108,6 @@ class ConeRecord:
 
     def nbytes(self) -> int:
         return 96 + (self.n >> 3)
-
-
-_TOGGLES = attrgetter("toggles")
-_ONES = attrgetter("ones")
 
 
 @dataclass
@@ -202,23 +197,6 @@ class ConeCache:
         else:
             self._lru[key] = None
             self._lru.move_to_end(key)
-        self._evict()
-
-    def put_many(self, keys: Sequence[ConeKey],
-                 recs: Sequence[ConeRecord]) -> None:
-        """:meth:`put` of each pair, in order, with one eviction pass
-        at the end."""
-        entries = self._entries
-        if any(map(entries.__contains__, keys)):
-            for key, rec in zip(keys, recs):
-                self.put(key, rec)
-            return
-        entries.update(zip(keys, recs))
-        self._bytes += sum(map(ConeRecord.nbytes, recs))
-        self._lru.update(dict.fromkeys(keys))
-        self._evict()
-
-    def _evict(self) -> None:
         while self._bytes > self.max_bytes and len(self._entries) > 1:
             if self._lru:
                 evicted, _ = self._lru.popitem(last=False)
@@ -464,18 +442,21 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
     else:
         records = inputs
         probe = nets[len(snap.inputs):]
-    # Bulk cache probe: the key lookups, entry probes and LRU touches
-    # run as C-level maps over the probed nets (per-net Python calls
-    # are measurable at a few thousand nets); the counters are settled
-    # in aggregate afterwards.
-    probe_keys = list(map(keys.__getitem__, probe))
-    found = list(map(cache._entries.get, probe_keys))
-    records.update(zip(probe, found))
-    missing = [net for net, rec in zip(probe, found)
-               if rec is None or rec.n != n]
-    lru = cache._lru
-    deque(map(lru.move_to_end,
-              filter(lru.__contains__, compress(probe_keys, found))), 0)
+    missing: List[str] = []
+    # Bulk cache probe: one dict.get per probed net against the raw
+    # entry table (the per-net ``cache.get`` call overhead is
+    # measurable at a few thousand nets); the counters are settled in
+    # aggregate afterwards.
+    entry_get = cache._entries.get
+    touch = cache._touch
+    for net in probe:
+        key = keys[net]
+        rec = entry_get(key)
+        if rec is not None and rec.n == n:
+            records[net] = rec
+            touch(key)
+        else:
+            missing.append(net)
     cache.hits += non_input - len(missing)
     cache.misses += len(missing)
     stats = DeltaStats(source="cached", total_nets=len(nets))
@@ -494,11 +475,6 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
             # cones), so extracting exactly the missing nets yields a
             # well-formed sub-circuit whose boundary is clean.
             sub, boundary = circuit.extract_cone(missing)
-            if resolved == "fast":
-                try:
-                    build_plan(sub)
-                except CompileError:
-                    pass        # net_words_engine falls back
             stats.boundary_nets = len(boundary)
             words = {net: packed.words[net]
                      for net in sub.inputs if net in packed.words}
@@ -508,15 +484,15 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
                                         initial_state=None,
                                         engine=resolved)
             stats.source = "delta"
-        fresh = [_record_from_lane(lanes[net], n) for net in missing]
-        records.update(zip(missing, fresh))
-        if populate:
-            cache.put_many(list(map(keys.__getitem__, missing)), fresh)
+        for net in missing:
+            rec = _record_from_lane(lanes[net], n)
+            records[net] = rec
+            if populate:
+                cache.put(keys[net], rec)
 
     if base is None:
-        every = list(map(records.__getitem__, nets))
-        toggles = dict(zip(nets, map(_TOGGLES, every)))
-        ones = dict(zip(nets, map(_ONES, every)))
+        toggles = {net: records[net].toggles for net in nets}
+        ones = {net: records[net].ones for net in nets}
     else:
         toggles = dict(base.toggles)
         ones = dict(base.ones)
